@@ -68,7 +68,6 @@ from .frieze import (
     diagonal_to_frieze,
     elementary_mutation,
     propagate_from_quiddity,
-    read_diagonal,
     read_zigzag,
     zigzag_to_frieze,
 )
@@ -78,7 +77,6 @@ from .hill import (
     is_antiperiodic,
     is_nonoscillating,
     monodromy_matrix,
-    nonoscillation_check,
     potential_from_constant,
 )
 from .jets import Jet, seed_jets

@@ -62,7 +62,10 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
         return
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".frieze-lab-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".frieze-lab-")
+    except OSError as exc:  # name the requested file, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -180,7 +183,7 @@ def cmd_continuum(args) -> int:
                     "monodromy": [[mono[0][0], mono[0][1]], [mono[1][0], mono[1][1]]],
                     "max_dev_from_minus_id": float(np.max(np.abs(np.array(mono) + np.eye(2)))),
                     "antiperiodic": is_antiperiodic(mono),
-                    "nonoscillating": is_nonoscillating(pot),
+                    "nonoscillating": is_nonoscillating(pot, steps=args.steps),
                 }
             ),
             args.output,
@@ -190,6 +193,8 @@ def cmd_continuum(args) -> int:
     frieze = frieze_from_curve(lift)
 
     if args.sub == "frieze2d":
+        if args.grid < 1:
+            return _fail("--grid must be at least 1")
         xs = np.linspace(0.0, T, args.grid, endpoint=False)
         rows = [
             (float(x), float(y), frieze.F(float(x), float(y)))
@@ -255,6 +260,8 @@ def cmd_continuum(args) -> int:
 
 def cmd_limit(args) -> int:
     curve = _family_curve(args)
+    if curve.period is None:
+        return _fail(f"family {args.family!r} is not closed; the study needs a period")
     n_list = [int(tok) for tok in args.n.split(",") if tok]
     if n_list != sorted(n_list) or (n_list and min(n_list) < 8):
         return _fail("sample counts must be increasing and at least 8")
@@ -393,7 +400,7 @@ def main(argv=None) -> int:
         if args.group == "limit":
             return cmd_limit(args)
         raise AssertionError(args.group)
-    except (FriezeLabError, ValueError, ZeroDivisionError) as exc:
+    except (FriezeLabError, ValueError, ZeroDivisionError, OSError) as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
 
 

@@ -6,9 +6,14 @@ In diagonal coordinates (a_1..a_w) the form is
 
 in zigzag coordinates the same sum acquires a sign (-1)^{eps_i} that is 0 on
 SE steps and 1 on SW steps, and on the fundamental polygon it is evaluated
-through brackets against the distinguished vertex V_{n-1}.  All coordinate
-changes are realized as exact jet pushforwards through the frieze completion,
-so equality of the three evaluations is testable as identity of rationals.
+through brackets against the distinguished vertex V_{n-1}.
+
+Coordinate changes run on the fundamental polygon.  The source chart is
+seeded with jets, straightened to a diagonal and turned into its quiddity;
+the recurrence V_{k+1} = c_k V_k - V_{k-1} then gives 2n jet vertices, and
+every target entry is the single bracket e(i, j) = [V_i, V_j].  The jets carry
+exact first derivatives, so equality of the three evaluations is testable as
+identity of rationals.
 """
 
 from __future__ import annotations
@@ -17,17 +22,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exceptions import GaugeViolation
+from .exceptions import GaugeViolation, ZeroEntryEncountered
 from .frieze import (
     SE,
     DiagonalCoords,
     ZigzagCoords,
     ZigzagPath,
-    _complete_rows_from_zigzag,
-    _read_path,
+    _quiddity_from_diagonal,
+    _straighten,
 )
 from .jets import Jet, seed_jets
-from .recurrence import det2
+from .recurrence import DiscreteHillEquation, det2, solve_recurrence
 
 
 @dataclass(frozen=True)
@@ -78,12 +83,37 @@ def _as_zigzag(coords) -> ZigzagCoords:
     return coords
 
 
+def _jet_polygon(z: ZigzagCoords) -> list:
+    """Jet vertices V_0..V_{2n-1}, with V_0 = (1,0), V_1 = (0,1), seeded on ``z``.
+
+    Raises ZeroEntryEncountered when an interior entry of the frieze vanishes;
+    that check runs on the value parts only.
+    """
+    n = z.width + 3
+    flat = _straighten(ZigzagCoords(path=z.path, values=tuple(seed_jets(z.values))))
+    c = _quiddity_from_diagonal(flat.values, flat.path.start % n, n)
+    zero, one = (Jet(Fraction(k), (Fraction(0),) * z.width) for k in (0, 1))
+    V = solve_recurrence(DiscreteHillEquation(tuple(c)), (one, zero), (zero, one), 2 * n - 1)
+    vals = [(x.val, y.val) for x, y in V]
+    for r in range(1, n - 2):
+        for i in range(n):
+            if det2(vals[i], vals[i + r + 1]) == 0:
+                raise ZeroEntryEncountered(f"zero entry in row {r}, column {(i + 1) % n}")
+    return V
+
+
+def _brackets(V: list, pairs) -> list:
+    """Frieze entries e(i, j) = [V_{i mod n}, V_{j - i + i mod n}], 0 <= j - i <= n."""
+    n = len(V) // 2
+    return [det2(V[i % n], V[j - i + i % n]) for i, j in pairs]
+
+
 def _chart_transport(source, target_path: ZigzagPath):
-    """One jet completion: target values and the exact Jacobian."""
+    """Target values and the exact Jacobian, read as brackets of jet vertices."""
     z = _as_zigzag(source)
-    seeds = seed_jets(z.values)
-    rows, n = _complete_rows_from_zigzag(seeds, z.path)
-    out = _read_path(rows, n, target_path)
+    if target_path.width != z.width:
+        raise ValueError("target path width does not match source width")
+    out = _brackets(_jet_polygon(z), target_path.vertices())
     base = ZigzagCoords(path=target_path, values=tuple(v.val for v in out))
     return base, [list(v.grad) for v in out]
 
@@ -107,7 +137,7 @@ def pushforward(source, target_path: ZigzagPath, xi) -> TangentVector:
 
 
 def pushforward_many(source, target_path: ZigzagPath, vectors) -> list[TangentVector]:
-    """Push several tangents through one shared completion."""
+    """Push several tangents through one shared chart change."""
     base, jac = _chart_transport(source, target_path)
     return [
         TangentVector(base=base, components=_apply(jac, getattr(v, "components", v)))
@@ -201,34 +231,20 @@ def omega_geometric(polygon: Sequence, xi: Sequence, eta: Sequence, gauge_tol: f
 def polygon_tangent_from_diagonal(a: DiagonalCoords, delta: Sequence):
     """Polygon and polygon tangent induced by a diagonal variation, exactly.
 
-    The frieze completion is run in jet arithmetic seeded on the diagonal, so
-    the returned tangent satisfies the bracket constraint identically and is
-    automatically in the xi_{n-1} = 0 gauge (the last vertex (1,0) is constant
-    in these coordinates).
+    With s = base + 1, vertex i is ([V_s, V_{s+i}], [V_{s-1}, V_{s+i}]) over
+    the jet vertices seeded on the diagonal, so the returned tangent satisfies
+    the bracket constraint identically and is in the xi_{n-1} = 0 gauge (the
+    last vertex (1,0) is constant in these coordinates).
     """
-    w = a.width
-    n = w + 3
-    seeds = seed_jets(a.values)
-    rows, _ = _complete_rows_from_zigzag(seeds, a.as_zigzag().path)
+    n = a.width + 3
+    s = a.base % n + 1
+    V = _jet_polygon(a.as_zigzag())
+    xs = _brackets(V, [(s, s + i) for i in range(n)])
+    ys = _brackets(V, [(s - 1, s + i) for i in range(n)])
 
-    def ent(i, j):
-        r = j - i - 1
-        if r == n - 1:
-            return Jet(Fraction(0), (Fraction(0),) * w)
-        x = rows[r + 1][(i + 1) % n]
-        if not isinstance(x, Jet):
-            x = Jet(Fraction(x), (Fraction(0),) * w)
-        return x
+    def d(x):
+        return sum((g * e for g, e in zip(x.grad, delta)), Fraction(0))
 
-    b = a.base % n
-    shift = b - (n - 1)  # completion above is seeded at base, polygon wants base = n-1
-    polygon = []
-    tangent = []
-    for i in range(n):
-        vx = ent(shift, shift + i)
-        vy = ent(b, b + 1 + i)
-        polygon.append((vx.val, vy.val))
-        dx = sum((g * d for g, d in zip(vx.grad, delta)), Fraction(0))
-        dy = sum((g * d for g, d in zip(vy.grad, delta)), Fraction(0))
-        tangent.append((dx, dy))
-    return tuple(polygon), tuple(tangent)
+    polygon = tuple((x.val, y.val) for x, y in zip(xs, ys))
+    tangent = tuple((d(x), d(y)) for x, y in zip(xs, ys))
+    return polygon, tangent

@@ -14,9 +14,10 @@ vectors i and j of the associated three-term recurrence.  In that picture
 * the glide symmetry is ``e(i, j) == e(j, i+n)``, whose square is the
   horizontal shift by the period ``n = w + 3``.
 
-All public constructors work over ``fractions.Fraction``; the private
-completion helpers are scalar-generic so that jet (dual-number) values can be
-pushed through the exact same code path.
+All public constructors work over ``fractions.Fraction``.  The zigzag
+mutations and ``_quiddity_from_diagonal`` are scalar-generic: the cluster
+module runs them on jet (dual-number) values to reach the quiddity, and then
+reads every entry as a bracket of polygon vertices instead of completing rows.
 """
 
 from __future__ import annotations
@@ -190,7 +191,7 @@ def _quiddity_from_diagonal(values: Sequence, base: int, n: int) -> list:
     The diagonal recurrence pins every coefficient except c_base; that one is
     read off the neighbouring diagonal, swept out by the diamond rule.
     """
-    d = [0, 1, *values, 1, 0]  # e(base, base+k), k = 0..n
+    d = [Fraction(0), Fraction(1), *values, Fraction(1), Fraction(0)]  # e(base, base+k)
     c: list = [None] * n
     for j in range(1, n):
         c[(base + j) % n] = (d[j + 1] + d[j - 1]) / d[j]
@@ -220,10 +221,6 @@ def diagonal_to_frieze(values: Sequence, base: int | None = None) -> FriezePatte
     if frieze.diagonal(b).values != vals:
         raise AssertionError("diagonal reconstruction mismatch")
     return frieze
-
-
-def read_diagonal(frieze: FriezePattern, base: int | None = None) -> DiagonalCoords:
-    return frieze.diagonal(base)
 
 
 # ---------------------------------------------------------------------------
@@ -348,24 +345,3 @@ def zigzag_to_frieze(z: ZigzagCoords) -> FriezePattern:
     if read_zigzag(frieze, z.path).values != z.values:
         raise AssertionError("zigzag reconstruction mismatch")
     return frieze
-
-
-# ---------------------------------------------------------------------------
-# scalar-generic completion used by the jet machinery
-
-
-def _complete_rows_from_zigzag(values: Sequence, path: ZigzagPath) -> tuple[list, int]:
-    """Rows of the frieze through generic zigzag values (e.g. jets)."""
-    n = path.width + 3
-    flat = _straighten(ZigzagCoords(path=path, values=tuple(values)))
-    quiddity = _quiddity_from_diagonal(flat.values, flat.path.start % n, n)
-    return _complete_rows(quiddity, n), n
-
-
-def _read_path(rows: list, n: int, path: ZigzagPath):
-    """Read generic row data along a path; mirrors FriezePattern.ent."""
-    out = []
-    for i, j in path.vertices():
-        r = j - i - 1
-        out.append(rows[r + 1][(i + 1) % n])
-    return tuple(out)

@@ -18,8 +18,6 @@ import numpy as np
 from .exceptions import GridTooCoarse
 from .quadrature import resolution
 
-DEFAULT_STEPS = 4096
-
 
 @dataclass(frozen=True)
 class HillPotential:
@@ -85,7 +83,7 @@ def hill_solve(
 ) -> tuple[HillSolution, np.ndarray]:
     """Integrate one period and return the samples plus the monodromy matrix."""
     T = pot.period if T is None else T
-    steps = resolution(steps) if steps is None else steps
+    steps = resolution(steps)
     if steps < 64:
         raise ValueError("need at least 64 steps per period")
     sol = _rk4(pot.kappa, T, y0, dy0, steps)
@@ -93,8 +91,9 @@ def hill_solve(
     return sol, m
 
 
-def monodromy_matrix(pot: HillPotential, T: float | None = None, steps: int = DEFAULT_STEPS) -> np.ndarray:
+def monodromy_matrix(pot: HillPotential, T: float | None = None, steps: int | None = None) -> np.ndarray:
     T = pot.period if T is None else T
+    steps = resolution(steps)
     a = _rk4(pot.kappa, T, 1.0, 0.0, steps)
     b = _rk4(pot.kappa, T, 0.0, 1.0, steps)
     return np.array([[a.ys[-1], b.ys[-1]], [a.dys[-1], b.dys[-1]]])
@@ -132,20 +131,16 @@ def count_zeros(samples: np.ndarray) -> int:
     return len(events)
 
 
-def nonoscillation_check(solution: HillSolution) -> int:
-    """Zero count of one solution over [0, T): non-oscillating means exactly 1."""
-    return count_zeros(solution.ys[:-1])
-
-
 def is_nonoscillating(
     pot: HillPotential,
     T: float | None = None,
-    steps: int = DEFAULT_STEPS,
+    steps: int | None = None,
     trials: int = 8,
     seed: int = 0,
 ) -> bool:
     """Every solution has exactly one zero per period, over random basis mixes."""
     T = pot.period if T is None else T
+    steps = resolution(steps)
     a = _rk4(pot.kappa, T, 1.0, 0.0, steps)
     b = _rk4(pot.kappa, T, 0.0, 1.0, steps)
     rng = random.Random(seed)

@@ -37,7 +37,6 @@ class DiscretizationScheme:
 
     n: int
     period: float
-    normalization: str = "uniform"
 
     def __post_init__(self):
         if self.n < 8:

@@ -33,14 +33,6 @@ def periodic_trapezoid(values, period: float) -> float:
     return float(v.mean() * period)
 
 
-def central_d1(f, x: float, h: float = 1e-4) -> float:
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def central_d2(f, x: float, h: float = 1e-4) -> float:
-    return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-
-
 def mixed_partial(F, x: float, y: float, h: float = 1e-3) -> float:
     """Second-order central estimate of d^2 F / dx dy."""
     return (

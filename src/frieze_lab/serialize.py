@@ -34,6 +34,9 @@ def scalar_to_json(x):
     return float(x)
 
 
+DOC_KEYS = ("width", "period", "quiddity", "rows")
+
+
 def frieze_to_doc(frieze: FriezePattern) -> dict:
     return {
         "width": frieze.width,
@@ -47,11 +50,18 @@ def frieze_to_doc(frieze: FriezePattern) -> dict:
 
 
 def frieze_from_doc(doc: dict) -> FriezePattern:
+    if not isinstance(doc, dict) or any(k not in doc for k in DOC_KEYS):
+        raise ValueError(f"frieze document needs the keys {', '.join(DOC_KEYS)}")
+    rows = doc["rows"]
+    if not isinstance(doc["quiddity"], list) or not (
+        isinstance(rows, list) and all(isinstance(r, list) for r in rows)
+    ):
+        raise ValueError("document quiddity must be a list and rows a list of lists")
     quiddity = [str_to_fraction(x) for x in doc["quiddity"]]
     frieze = propagate_from_quiddity(quiddity)
     if frieze.width != doc["width"] or frieze.period != doc["period"]:
         raise ValueError("document width/period inconsistent with quiddity")
-    rows = [[str_to_fraction(x) for x in row] for row in doc["rows"]]
+    rows = [[str_to_fraction(x) for x in row] for row in rows]
     stored = [list(frieze.rows[r + 1]) for r in range(0, frieze.width + 2)]
     if rows != stored:
         raise ValueError("document rows inconsistent with quiddity propagation")

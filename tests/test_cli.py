@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -180,3 +181,53 @@ def test_limit_study_json_format(capsys):
     assert doc["c"] == 0.5
     assert [r["n"] for r in doc["records"]] == [100, 200, 400]
     assert abs(doc["integral"] - doc["kirillov_scaled"]) < 1e-8
+
+
+def assert_json_error(code, out, err):
+    assert code == 2
+    assert "error" in json.loads(out)
+    assert "Traceback" not in err
+
+
+def test_check_document_without_keys_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("{}"))
+    assert_json_error(*run(capsys, "frieze", "check", "-"))
+
+
+def test_check_document_rows_not_list_exit_2(capsys, monkeypatch):
+    _, out, _ = run(capsys, "frieze", "gen", "--quiddity", "1,1,1")
+    doc = {**json.loads(out), "rows": 5}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert_json_error(*run(capsys, "frieze", "check", "-"))
+
+
+def test_limit_study_open_family_exit_2(capsys):
+    assert_json_error(*run(capsys, "limit", "study", "--family", "linear", "--n", "100,200,400"))
+
+
+def test_frieze2d_grid_zero_exit_2(capsys):
+    assert_json_error(*run(capsys, "continuum", "frieze2d", "--grid", "0"))
+
+
+def test_output_dir_missing_exit_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "frieze", "gen", "--quiddity", "1,2,2,1,3", "-o", str(target))
+    assert_json_error(code, out, err)
+    assert str(target) in json.loads(out)["error"]
+
+
+def test_hill_steps_reach_every_pass(capsys, monkeypatch):
+    import frieze_lab.hill as hill
+
+    seen = []
+    rk4 = hill._rk4
+
+    def recording(kappa, T, y0, dy0, steps):
+        seen.append(steps)
+        return rk4(kappa, T, y0, dy0, steps)
+
+    monkeypatch.setattr(hill, "_rk4", recording)
+    code, out, _ = run(capsys, "continuum", "hill", "--steps", "128")
+    assert code == 0
+    # solution, two monodromy columns, two oscillation-test columns
+    assert seen == [128] * 5

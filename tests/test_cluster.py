@@ -154,3 +154,96 @@ def test_pushforward_width1_alternating_chart():
     t = fl.pushforward(d, fl.ZigzagPath(start=0, moves=(), width=1), (Fr(1),))
     assert t.base.values == (Fr(2, 3),)
     assert t.components == (Fr(-2, 9),)
+
+
+def random_path(rng, w):
+    return fl.ZigzagPath(
+        start=rng.randint(-w - 3, 2 * w + 6),
+        moves=tuple(rng.choice((SE, SW)) for _ in range(w - 1)),
+        width=w,
+    )
+
+
+def row_completion_transport(source, path):
+    """Reference chart change: complete every row in jets, then read the path."""
+    from frieze_lab.frieze import _complete_rows, _quiddity_from_diagonal, _straighten
+    from frieze_lab.jets import seed_jets
+
+    z = source.as_zigzag() if isinstance(source, fl.DiagonalCoords) else source
+    n = z.width + 3
+    flat = _straighten(fl.ZigzagCoords(path=z.path, values=tuple(seed_jets(z.values))))
+    rows = _complete_rows(_quiddity_from_diagonal(flat.values, flat.path.start % n, n), n)
+    out = [rows[j - i][(i + 1) % n] for i, j in path.vertices()]
+    return tuple(v.val for v in out), [list(v.grad) for v in out]
+
+
+def test_chart_jacobian_matches_row_completion():
+    rng = random.Random(83)
+    for _ in range(40):
+        w = rng.randint(1, 10)
+        d = random_diagonal(rng, w)
+        source = d
+        if rng.random() < 0.5:
+            path = random_path(rng, w)
+            source = fl.read_zigzag(fl.diagonal_to_frieze(d.values), path)
+        target = random_path(rng, w)
+        values, jac = row_completion_transport(source, target)
+        assert fl.chart_jacobian(source, target) == jac
+        assert fl.pushforward(source, target, basis(w)[0]).base.values == values
+
+
+def test_zero_entry_off_the_target_path_raises():
+    # the frieze of this diagonal has e(0, 2) = 0; the diagonal itself does not
+    d = fl.DiagonalCoords(base=4, values=(Fr(1), Fr(-1)))
+    with pytest.raises(fl.ZeroEntryEncountered):
+        fl.pushforward(d, d.as_zigzag().path, (Fr(1), Fr(0)))
+    with pytest.raises(fl.ZeroEntryEncountered):
+        fl.polygon_tangent_from_diagonal(d, (Fr(1), Fr(0)))
+
+
+def as_strings(vectors):
+    return tuple(tuple(str(x) for x in v) for v in vectors)
+
+
+def test_polygon_tangent_pinned_values():
+    d = fl.DiagonalCoords(base=5, values=(Fr(2), Fr(1, 3), Fr(5)))
+    p, t = fl.polygon_tangent_from_diagonal(d, (Fr(1), Fr(-2), Fr(3)))
+    assert as_strings(p) == (
+        ("0", "1"), ("1", "2"), ("2/3", "1/3"), ("13", "5"), ("14/5", "1"), ("1", "0")
+    )
+    assert as_strings(t) == (
+        ("0", "0"), ("0", "1"), ("-4/3", "-2"), ("64", "3"), ("278/25", "0"), ("0", "0")
+    )
+    # another base: the polygon is still normalized at its distinguished vertex
+    d = fl.DiagonalCoords(base=1, values=(Fr(3), Fr(-1, 2)))
+    p, t = fl.polygon_tangent_from_diagonal(d, (Fr(2), Fr(1)))
+    assert as_strings(p) == (("0", "1"), ("1", "3"), ("1/6", "-1/2"), ("-7/3", "1"), ("1", "0"))
+    assert as_strings(t) == (("0", "0"), ("0", "2"), ("2/9", "1"), ("-46/9", "0"), ("0", "0"))
+
+
+def test_pushforward_base_matches_frieze_at_width_24():
+    rng = random.Random(97)
+    w = 24
+    values = tuple(Fr(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(w))
+    d = fl.DiagonalCoords(base=w + 2, values=values)
+    frieze = fl.diagonal_to_frieze(values)
+    for _ in range(3):
+        path = random_path(rng, w)
+        pushed = fl.pushforward(d, path, basis(w)[rng.randrange(w)])
+        assert pushed.base.values == fl.read_zigzag(frieze, path).values
+
+
+def test_width_zero_chart_change_is_empty():
+    assert fl.diagonal_to_frieze(()) == fl.propagate_from_quiddity((1, 1, 1))
+    d = fl.DiagonalCoords(base=2, values=())
+    path = fl.ZigzagPath(start=0, moves=(), width=0)
+    assert fl.chart_jacobian(d, path) == []
+    p, t = fl.polygon_tangent_from_diagonal(d, ())
+    assert p == ((0, 1), (1, 1), (1, 0)) and t == ((0, 0),) * 3
+
+
+def test_chart_change_rejects_other_width():
+    d = fl.DiagonalCoords(base=4, values=(Fr(1), Fr(2)))
+    for w in (1, 3):
+        with pytest.raises(ValueError):
+            fl.chart_jacobian(d, fl.ZigzagPath(start=0, moves=(SE,) * (w - 1), width=w))
