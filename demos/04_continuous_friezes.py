@@ -20,7 +20,7 @@ T = math.pi
 print("The round curve f = tan lifts to the unit circle and gives F = sin(y - x):")
 cur = fl.tan_family(0.0, c=0.5)
 lift = fl.lift_curve(cur)
-print("  Gamma(0.7) =", lift.gamma(0.7))
+print("  Gamma(0.7) =", tuple(float(v) for v in lift.gamma(0.7)))
 Fz = fl.frieze_from_curve(lift)
 print("  F(0.3, 1.2) =", Fz.F(0.3, 1.2), " sin(0.9) =", math.sin(0.9))
 print("  Liouville residual:", fl.liouville_residual(Fz, grid=32))
@@ -51,8 +51,8 @@ ks2, _ = fl.curvature_conformal(lin, grid=16, domain=((0.0, 1.0), (1.5, 3.0)))
 print("  max |K + 1| for y - x (half-plane):", float(np.max(np.abs(ks2 + 1.0))))
 
 print("\nDropping the boundary conditions, two different curves still solve the PDE:")
-ga = fl.LiftedCurve(lambda x: float(x), lambda x: -1.0, lambda x: 1.0, lambda x: 0.0, lambda x: 0.0, None)
-gb = fl.LiftedCurve(lambda x: 1.0, lambda x: float(x), lambda x: 0.0, lambda x: 1.0, lambda x: 0.0, None)
+ga = fl.LiftedCurve(lambda x: x, lambda x: -1.0, lambda x: 1.0, lambda x: 0.0, lambda x: 0.0, None)
+gb = fl.LiftedCurve(lambda x: 1.0, lambda x: x, lambda x: 0.0, lambda x: 1.0, lambda x: 0.0, None)
 H = fl.frieze_from_curve(ga, gb)
 print("  F(x, y) = 1 + x y; residual:",
       fl.liouville_residual(H, grid=32, domain=((0.1, 2.0), (0.1, 2.0))))

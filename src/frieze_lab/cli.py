@@ -33,7 +33,7 @@ from .continuous import (
     liouville_residual_field,
     potential_from_frieze,
 )
-from .curves import curve_family, lift_curve, trig_poly
+from .curves import curve_family, lift_curve, on_grid, trig_poly
 from .exceptions import FriezeLabError
 from .frieze import (
     ZigzagCoords,
@@ -163,6 +163,10 @@ def cmd_frieze(args) -> int:
 
 
 def _family_curve(args):
+    if not math.isfinite(args.s):
+        raise ValueError(f"--s must be finite, got {args.s}")
+    if not math.isfinite(args.c) or args.c == 0.0:
+        raise ValueError(f"--c must be finite and nonzero, got {args.c}")
     curve = curve_family(args.family, s=args.s, c=args.c)
     if curve.period is not None:
         curve.require_admissible()
@@ -170,6 +174,8 @@ def _family_curve(args):
 
 
 def cmd_continuum(args) -> int:
+    if "grid" in vars(args) and args.grid < 1:
+        return _fail("--grid must be at least 1")
     curve = _family_curve(args)
     lift = lift_curve(curve)
     T = curve.period if curve.period is not None else math.pi
@@ -193,42 +199,28 @@ def cmd_continuum(args) -> int:
     frieze = frieze_from_curve(lift)
 
     if args.sub == "frieze2d":
-        if args.grid < 1:
-            return _fail("--grid must be at least 1")
         xs = np.linspace(0.0, T, args.grid, endpoint=False)
-        rows = [
-            (float(x), float(y), frieze.F(float(x), float(y)))
-            for x in xs
-            for y in xs
-        ]
+        X, Y = np.meshgrid(xs, xs, indexing="ij")
+        values = on_grid(frieze.F, X, Y)
+        rows = list(zip(X.ravel().tolist(), Y.ravel().tolist(), values.ravel().tolist()))
         _emit(csv_string(("x", "y", "value"), rows), args.output)
         return 0
 
     # aperiodic families get a fixed off-diagonal evaluation box
     box = ((0.0, 1.0), (1.5, 3.0)) if frieze.period is None else None
 
-    if args.sub == "liouville":
-        vals, pts = liouville_residual_field(frieze, grid=args.grid, domain=box)
+    if args.sub in ("liouville", "curvature"):
+        if args.sub == "liouville":
+            vals, pts = liouville_residual_field(frieze, grid=args.grid, domain=box)
+            summary = {"max_residual": float(vals.max())}
+        else:
+            vals, pts = curvature_conformal(frieze, grid=args.grid, h=args.h, domain=box)
+            summary = {"max_abs_K_plus_1": float(np.max(np.abs(vals + 1.0)))}
         if args.format == "csv":
-            rows = [(x, y, float(v)) for (x, y), v in zip(pts, vals)]
+            rows = [(x, y, v) for (x, y), v in zip(pts, vals.tolist())]
             _emit(csv_string(("x", "y", "value"), rows), args.output)
         else:
-            _emit(
-                dumps({"max_residual": float(vals.max()), "grid": args.grid}),
-                args.output,
-            )
-        return 0
-
-    if args.sub == "curvature":
-        ks, pts = curvature_conformal(frieze, grid=args.grid, h=args.h, domain=box)
-        if args.format == "csv":
-            rows = [(x, y, float(k)) for (x, y), k in zip(pts, ks)]
-            _emit(csv_string(("x", "y", "value"), rows), args.output)
-        else:
-            _emit(
-                dumps({"max_abs_K_plus_1": float(np.max(np.abs(ks + 1.0))), "grid": args.grid}),
-                args.output,
-            )
+            _emit(dumps({**summary, "grid": args.grid}), args.output)
         return 0
 
     if args.sub == "kirillov":

@@ -20,17 +20,21 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import LiftedCurve, ProjectiveCurve, lift_curve
+from .curves import LiftedCurve, ProjectiveCurve, first_where, lift_curve, on_grid
 from .exceptions import DegenerateF, NonPositiveF
 from .hill import HillPotential
 from .quadrature import mixed_partial
 
-Grid = tuple[np.ndarray, np.ndarray]
+Domain = tuple[tuple[float, float], tuple[float, float]]
 
 
 @dataclass(frozen=True)
 class ContinuousFrieze:
-    """Two-variable frieze function with optional analytic partials."""
+    """Two-variable frieze function with optional analytic partials.
+
+    F, Fx, Fy and Fxy are elementwise in floats or broadcastable ndarrays x
+    and y; a constant one may return a scalar.
+    """
 
     F: Callable[[float, float], float]
     Fx: Callable[[float, float], float] | None = None
@@ -76,7 +80,7 @@ def frieze_genform(curve: ProjectiveCurve) -> ContinuousFrieze:
     branches = curve.branch_count or (lambda x: 0)
 
     def sigma(x):
-        return -1.0 if branches(x) % 2 else 1.0
+        return np.where(branches(x) % 2, -1.0, 1.0)
 
     def F(x, y):
         return sigma(x) * sigma(y) * (f(y) - f(x)) / np.sqrt(f.d1(x) * f.d1(y))
@@ -107,20 +111,33 @@ def frieze_genform(curve: ProjectiveCurve) -> ContinuousFrieze:
 # residuals and diagnostics
 
 
-def _strip_grid(period: float, n: int, margin: float | None = None) -> Grid:
-    # fundamental strip x in [0,T), y = x + u with u away from the zero set;
-    # x-nodes are offset half a step so chart poles sitting on round fractions
-    # of the period (tan-like f at T/2) are never evaluated head-on
-    delta = period / 16.0 if margin is None else margin
-    xs = (np.arange(n) + 0.5) * (period / n)
-    us = np.linspace(delta, period - delta, n)
-    return xs, us
+def _grid(frieze: ContinuousFrieze, n: int, domain: Domain | None) -> tuple[np.ndarray, np.ndarray]:
+    """n x n grid as (X, Y) broadcasting to (n, n); row i holds the i-th x.
+
+    Without a domain: the strip x in [0,T), y = x + u with u away from the
+    zero set; x-nodes are offset half a step so chart poles sitting on round
+    fractions of the period (tan-like f at T/2) are never evaluated head-on.
+    """
+    if domain is not None:
+        (x0, x1), (y0, y1) = domain
+        return np.linspace(x0, x1, n)[:, None], np.linspace(y0, y1, n)[None, :]
+    if frieze.period is None:
+        raise ValueError("aperiodic frieze needs an explicit domain")
+    T = frieze.period
+    xs = (np.arange(n) + 0.5) * (T / n)
+    us = np.linspace(T / 16.0, T - T / 16.0, n)
+    return xs[:, None], xs[:, None] + us
+
+
+def _points(X: np.ndarray, Y: np.ndarray) -> list[tuple[float, float]]:
+    X, Y = np.broadcast_arrays(X, Y)
+    return list(zip(X.ravel().tolist(), Y.ravel().tolist()))
 
 
 def liouville_residual_field(
     frieze: ContinuousFrieze,
     grid: int = 48,
-    domain: tuple[tuple[float, float], tuple[float, float]] | None = None,
+    domain: Domain | None = None,
     h: float = 1e-3,
 ) -> tuple[np.ndarray, list[tuple[float, float]]]:
     """Pointwise |F F_xy - F_x F_y - 1| over the evaluation grid.
@@ -131,35 +148,22 @@ def liouville_residual_field(
     """
     if grid < 32:
         raise ValueError("grid must be at least 32x32")
-    if domain is None:
-        if frieze.period is None:
-            raise ValueError("aperiodic frieze needs an explicit domain")
-        xs, us = _strip_grid(frieze.period, grid)
-        points = [(float(x), float(x + u)) for x in xs for u in us]
-    else:
-        (x0, x1), (y0, y1) = domain
-        xs = np.linspace(x0, x1, grid)
-        ys = np.linspace(y0, y1, grid)
-        points = [(float(x), float(y)) for x in xs for y in ys]
-
+    X, Y = _grid(frieze, grid, domain)
     F = frieze.F
-    vals = []
     if frieze.has_partials:
-        for x, y in points:
-            vals.append(abs(F(x, y) * frieze.Fxy(x, y) - frieze.Fx(x, y) * frieze.Fy(x, y) - 1.0))
+        fx, fy, fxy = (on_grid(d, X, Y) for d in (frieze.Fx, frieze.Fy, frieze.Fxy))
     else:
-        for x, y in points:
-            fx = (F(x + h, y) - F(x - h, y)) / (2 * h)
-            fy = (F(x, y + h) - F(x, y - h)) / (2 * h)
-            fxy = mixed_partial(F, x, y, h)
-            vals.append(abs(F(x, y) * fxy - fx * fy - 1.0))
-    return np.array(vals), points
+        fx = (on_grid(F, X + h, Y) - on_grid(F, X - h, Y)) / (2 * h)
+        fy = (on_grid(F, X, Y + h) - on_grid(F, X, Y - h)) / (2 * h)
+        fxy = mixed_partial(F, X, Y, h)
+    vals = np.abs(on_grid(F, X, Y) * fxy - fx * fy - 1.0)
+    return vals.ravel(), _points(X, Y)
 
 
 def liouville_residual(
     frieze: ContinuousFrieze,
     grid: int = 48,
-    domain: tuple[tuple[float, float], tuple[float, float]] | None = None,
+    domain: Domain | None = None,
     h: float = 1e-3,
 ) -> float:
     """max |F F_xy - F_x F_y - 1| over the evaluation grid."""
@@ -171,36 +175,41 @@ def boundary_check(frieze: ContinuousFrieze, T: float, grid: int = 256) -> dict:
     """Residuals of the closure conditions along the diagonal and the period."""
     xs = (np.arange(grid) + 0.5) * (2.0 * T / grid)
     us = np.linspace(T / 8.0, T - T / 8.0, 17)
-    diag = max(abs(frieze.F(float(x), float(x))) for x in xs)
+    F = frieze.F
     if frieze.has_partials:
-        dy = max(abs(frieze.Fy(float(x), float(x)) - 1.0) for x in xs)
-        dx = max(abs(frieze.Fx(float(x), float(x)) + 1.0) for x in xs)
+        fx, fy = on_grid(frieze.Fx, xs, xs), on_grid(frieze.Fy, xs, xs)
     else:
         h = 1e-5
-        dy = max(
-            abs((frieze.F(float(x), float(x) + h) - frieze.F(float(x), float(x) - h)) / (2 * h) - 1.0)
-            for x in xs
-        )
-        dx = max(
-            abs((frieze.F(float(x) + h, float(x)) - frieze.F(float(x) - h, float(x))) / (2 * h) + 1.0)
-            for x in xs
-        )
-    anti = max(
-        abs(frieze.F(float(x) + T, float(x) + float(u)) + frieze.F(float(x), float(x) + float(u)))
-        for x in xs[: grid // 2]
-        for u in us
-    )
+        fy = (on_grid(F, xs, xs + h) - on_grid(F, xs, xs - h)) / (2 * h)
+        fx = (on_grid(F, xs + h, xs) - on_grid(F, xs - h, xs)) / (2 * h)
+    x = xs[: grid // 2, None]
+    anti = on_grid(F, x + T, x + us) + on_grid(F, x, x + us)
     return {
-        "diagonal_zero": diag,
-        "unit_slope": dy,
-        "unit_slope_x": dx,
-        "antiperiodicity": anti,
+        "diagonal_zero": float(np.max(np.abs(on_grid(F, xs, xs)))),
+        "unit_slope": float(np.max(np.abs(fy - 1.0))),
+        "unit_slope_x": float(np.max(np.abs(fx + 1.0))),
+        "antiperiodicity": float(np.max(np.abs(anti))),
     }
 
 
 def is_closed_frieze(frieze: ContinuousFrieze, T: float, tol: float = 1e-8) -> bool:
     res = boundary_check(frieze, T)
     return all(v <= tol for v in res.values())
+
+
+def _fxx_over_f(frieze: ContinuousFrieze, x, h: float) -> np.ndarray:
+    """F_xx/F by second differences in x; axis 0 runs over y = x + (0.3, 0.5, 0.7) T."""
+    T = frieze.period
+    F = frieze.F
+    x = np.asarray(x, dtype=float)
+    y = x + (np.array([0.3, 0.5, 0.7]) * T).reshape((3,) + (1,) * x.ndim)
+    base = on_grid(F, x, y)
+    bad = np.abs(base) < 1e-12
+    if np.any(bad):
+        px, py = first_where(bad, x, y)
+        raise DegenerateF(f"F({px}, {py}) ~ 0")
+    fxx = (on_grid(F, x + h, y) - 2.0 * base + on_grid(F, x - h, y)) / (h * h)
+    return fxx / base
 
 
 def potential_from_frieze(
@@ -212,50 +221,31 @@ def potential_from_frieze(
     """Recover kappa(x) = F_xx(x, y) / F(x, y) from second differences of F.
 
     The ratio is independent of y for a genuine frieze; we verify that at
-    three separated y per call and fail loudly otherwise.  The returned
+    three separated y per point and fail loudly otherwise.  The returned
     potential is in curvature convention (u'' = kappa u, i.e. k = -2c kappa).
     """
     if frieze.period is None:
         raise ValueError("closed friezes only")
-    T = frieze.period
-    F = frieze.F
 
     def kappa(x):
-        vals = []
-        for frac in (0.3, 0.5, 0.7):
-            y = x + frac * T
-            base = F(x, y)
-            if abs(base) < 1e-12:
-                raise DegenerateF(f"F({x}, {y}) ~ 0")
-            fxx = (F(x + h, y) - 2.0 * base + F(x - h, y)) / (h * h)
-            vals.append(fxx / base)
-        if max(vals) - min(vals) > tol_y:
+        vals = _fxx_over_f(frieze, x, h)
+        if np.any(np.ptp(vals, axis=0) > tol_y):
             raise DegenerateF("recovered potential depends on y")
         return vals[1]
 
-    return HillPotential(kappa=kappa, c=c, period=T)
+    return HillPotential(kappa=kappa, c=c, period=frieze.period)
 
 
 def potential_y_spread(frieze: ContinuousFrieze, xs, h: float = 1e-4) -> float:
     """Max spread of F_xx/F over three y values; diagnostic for y-independence."""
-    T = frieze.period
-    F = frieze.F
-    worst = 0.0
-    for x in xs:
-        vals = []
-        for frac in (0.3, 0.5, 0.7):
-            y = x + frac * T
-            base = F(x, y)
-            fxx = (F(x + h, y) - 2.0 * base + F(x - h, y)) / (h * h)
-            vals.append(fxx / base)
-        worst = max(worst, max(vals) - min(vals))
-    return worst
+    vals = _fxx_over_f(frieze, xs, h)
+    return float(np.max(np.ptp(vals, axis=0), initial=0.0))
 
 
 def curvature_conformal(
     frieze: ContinuousFrieze,
     grid: int = 32,
-    domain: tuple[tuple[float, float], tuple[float, float]] | None = None,
+    domain: Domain | None = None,
     h: float = 1e-3,
 ) -> tuple[np.ndarray, list[tuple[float, float]]]:
     """Gaussian curvature of the metric -4 F^{-2} dz dzbar on a grid.
@@ -266,32 +256,20 @@ def curvature_conformal(
     The mixed partial is taken by second-order central differences; K is -1
     wherever F solves the Liouville identity.
     """
-    if domain is None:
-        if frieze.period is None:
-            raise ValueError("aperiodic frieze needs an explicit domain")
-        xs, us = _strip_grid(frieze.period, grid)
-        points = [(float(x), float(x + u)) for x in xs for u in us]
-    else:
-        (x0, x1), (y0, y1) = domain
-        points = [
-            (float(x), float(y))
-            for x in np.linspace(x0, x1, grid)
-            for y in np.linspace(y0, y1, grid)
-        ]
+    X, Y = _grid(frieze, grid, domain)
 
-    F = frieze.F
+    def positive_F(x, y):
+        val = on_grid(frieze.F, x, y)
+        bad = val <= 0.0
+        if np.any(bad):
+            px, py = first_where(bad, x, y)
+            raise NonPositiveF(f"F({px}, {py}) <= 0")
+        return val
 
     def log_metric(x, y):
-        val = F(x, y)
-        if val <= 0.0:
-            raise NonPositiveF(f"F({x}, {y}) <= 0")
-        return np.log(4.0) - 2.0 * np.log(val)
+        return np.log(4.0) - 2.0 * np.log(positive_F(x, y))
 
-    ks = []
-    for x, y in points:
-        val = F(x, y)
-        if val <= 0.0:
-            raise NonPositiveF(f"F({x}, {y}) <= 0")
-        lam = -4.0 / (val * val)
-        ks.append(-(2.0 / lam) * mixed_partial(log_metric, x, y, h))
-    return np.array(ks), points
+    val = positive_F(X, Y)
+    lam = -4.0 / (val * val)
+    ks = -(2.0 / lam) * mixed_partial(log_metric, X, Y, h)
+    return ks.ravel(), _points(X, Y)

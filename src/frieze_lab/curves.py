@@ -16,6 +16,11 @@ potential reads k = -2c*kappa = c*S(f).
 The positive square root in the lift formula is only correct between poles of
 f; curve families whose f crosses infinity supply the lift in closed form and
 a pole counter for branch-consistent use of the raw formula.
+
+Every evaluator on the continuous side (functions, lifts, friezes, potentials)
+takes a float or an ndarray and works elementwise, so consumers call it once
+per grid.  One whose value does not depend on x may return a scalar; consumers
+broadcast results with ``on_grid``.  Guards name the first failing point.
 """
 
 from __future__ import annotations
@@ -31,13 +36,27 @@ from .exceptions import DerivativeVanishes
 _DERIV_EPS = 1e-14
 
 
+def on_grid(fn: Callable, *coords) -> np.ndarray:
+    """fn(*coords) as a float array of the coordinates' broadcast shape."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    return np.broadcast_to(np.asarray(fn(*coords), dtype=float), shape)
+
+
+def first_where(bad, *coords) -> tuple[float, ...]:
+    """The coordinates, as floats, of the first point where the mask ``bad`` holds."""
+    shape = np.broadcast_shapes(np.shape(bad), *(np.shape(c) for c in coords))
+    i = int(np.argmax(np.broadcast_to(bad, shape)))
+    return tuple(float(np.broadcast_to(c, shape).flat[i]) for c in coords)
+
+
 @dataclass(frozen=True)
 class SmoothFunction:
-    """Scalar function with analytic derivative evaluators up to order three.
+    """Real function with analytic derivative evaluators up to order three.
 
-    A fourth derivative is optional; it is only needed when the function is
-    fed through a quotient whose third derivative is requested (the field
-    picture of the orbit form).
+    Each evaluator maps a float or an ndarray elementwise; a constant one may
+    return a scalar.  A fourth derivative is optional; it is only needed when
+    the function is fed through a quotient whose third derivative is
+    requested (the field picture of the orbit form).
     """
 
     value: Callable[[float], float]
@@ -184,7 +203,7 @@ def trig_poly(period: float, harmonics: dict[int, tuple[float, float]]) -> Smoot
 
         def ev(x):
             return sum(
-                a * math.cos(omega * k * x) + b * math.sin(omega * k * x)
+                a * np.cos(omega * k * x) + b * np.sin(omega * k * x)
                 for k, a, b in table
             )
 
@@ -194,7 +213,7 @@ def trig_poly(period: float, harmonics: dict[int, tuple[float, float]]) -> Smoot
 
 
 def from_callable(fn: Callable[[float], float], h: float = 1e-4, period=None) -> SmoothFunction:
-    """Finite-difference fallback for user-supplied functions.
+    """Finite-difference fallback for user-supplied elementwise functions.
 
     Derivative accuracy degrades with order (h^2 truncation against 1/h^k
     roundoff); prefer analytic evaluators whenever they exist.
@@ -228,8 +247,9 @@ def schwarzian(f: SmoothFunction) -> Callable[[float], float]:
 
     def s(x):
         fp = f.d1(x)
-        if abs(fp) < _DERIV_EPS:
-            raise DerivativeVanishes(f"f'({x}) ~ 0")
+        bad = np.abs(fp) < _DERIV_EPS
+        if np.any(bad):
+            raise DerivativeVanishes(f"f'({first_where(bad, x)[0]}) ~ 0")
         ratio = f.d2(x) / fp
         return f.d3(x) / fp - 1.5 * ratio * ratio
 
@@ -255,8 +275,10 @@ def mobius_transform(f: SmoothFunction, coeffs: tuple[float, float, float, float
 class LiftedCurve:
     """Unit-bracket plane curve with derivative evaluators.
 
-    Second derivatives are recovered from Gamma'' = kappa * Gamma, so a lift
-    always carries its Hill potential in curvature form.
+    The components and kappa are elementwise in a float or an ndarray; a
+    constant one may return a scalar.  Second derivatives are recovered from
+    Gamma'' = kappa * Gamma, so a lift always carries its Hill potential in
+    curvature form.
     """
 
     g1: Callable[[float], float]
@@ -290,20 +312,18 @@ class ProjectiveCurve:
     period: float | None
     c: float = 0.5
     lift: LiftedCurve | None = None
-    branch_count: Callable[[float], int] | None = None
+    branch_count: Callable[[float], float] | None = None
     dkappa: Callable[[float], float] | None = None
     inv_d1: SmoothFunction | None = None
     family: str = "custom"
 
     def min_derivative(self, grid: int = 512) -> float:
-        if self.period is None:
-            xs = np.linspace(0.0, 1.0, grid, endpoint=False)
-        else:
-            xs = np.linspace(0.0, self.period, grid, endpoint=False)
-        return float(min(self.f.d1(float(x)) for x in xs))
+        xs = np.linspace(0.0, 1.0 if self.period is None else self.period, grid, endpoint=False)
+        return float(np.min(on_grid(self.f.d1, xs)))
 
     def require_admissible(self, grid: int = 512) -> None:
-        if self.min_derivative(grid) <= 0.0:
+        # NaN fails too: it compares false with everything
+        if not self.min_derivative(grid) > 0.0:
             raise DerivativeVanishes("curve is not orientation preserving (f' <= 0)")
 
 
@@ -319,8 +339,9 @@ def lift_curve(curve: ProjectiveCurve) -> LiftedCurve:
 
     def g1(x):
         fp = f.d1(x)
-        if fp < _DERIV_EPS:
-            raise DerivativeVanishes(f"f'({x}) <= 0")
+        bad = fp < _DERIV_EPS
+        if np.any(bad):
+            raise DerivativeVanishes(f"f'({first_where(bad, x)[0]}) <= 0")
         return fp**-0.5
 
     def g2(x):
@@ -358,26 +379,26 @@ def tan_family(s: float = 0.0, c: float = 0.5) -> ProjectiveCurve:
     T = math.pi
 
     def g(x):
-        return x + s * math.sin(2 * x)
+        return x + s * np.sin(2 * x)
 
     def g1(x):
-        return 1 + 2 * s * math.cos(2 * x)
+        return 1 + 2 * s * np.cos(2 * x)
 
     def g2(x):
-        return -4 * s * math.sin(2 * x)
+        return -4 * s * np.sin(2 * x)
 
     def g3(x):
-        return -8 * s * math.cos(2 * x)
+        return -8 * s * np.cos(2 * x)
 
     def g4(x):
-        return 16 * s * math.sin(2 * x)
+        return 16 * s * np.sin(2 * x)
 
     def f0(x):
-        return math.tan(g(x))
+        return np.tan(g(x))
 
     # derivatives of tan(g) through u' = g'(1 + u^2)
     def _ps(x):
-        u = math.tan(g(x))
+        u = np.tan(g(x))
         one = 1 + u * u
         p1 = g1(x) * one
         p2 = g2(x) * one + 2 * g1(x) * u * p1
@@ -403,18 +424,18 @@ def tan_family(s: float = 0.0, c: float = 0.5) -> ProjectiveCurve:
 
     # closed-form lift: branch-consistent and bounded through the poles of f
     def l1(x):
-        return math.cos(g(x)) / math.sqrt(g1(x))
+        return np.cos(g(x)) / np.sqrt(g1(x))
 
     def l2(x):
-        return math.sin(g(x)) / math.sqrt(g1(x))
+        return np.sin(g(x)) / np.sqrt(g1(x))
 
     def dl1(x):
-        return -math.sin(g(x)) * math.sqrt(g1(x)) - 0.5 * math.cos(g(x)) * g2(x) * g1(
+        return -np.sin(g(x)) * np.sqrt(g1(x)) - 0.5 * np.cos(g(x)) * g2(x) * g1(
             x
         ) ** -1.5
 
     def dl2(x):
-        return math.cos(g(x)) * math.sqrt(g1(x)) - 0.5 * math.sin(g(x)) * g2(x) * g1(
+        return np.cos(g(x)) * np.sqrt(g1(x)) - 0.5 * np.sin(g(x)) * g2(x) * g1(
             x
         ) ** -1.5
 
@@ -430,7 +451,7 @@ def tan_family(s: float = 0.0, c: float = 0.5) -> ProjectiveCurve:
         return -2 * g1(x) * g2(x) - 0.5 * ds
 
     def branch_count(x):
-        return math.floor((g(x) + math.pi / 2) / math.pi)
+        return np.floor((g(x) + math.pi / 2) / math.pi)
 
     # 1/f' = cos^2(g)/g' assembled from bounded pieces; stays conditioned at
     # the poles of f where the generic quotient rule loses all digits
@@ -459,7 +480,7 @@ def linear_family(c: float = 0.5) -> ProjectiveCurve:
     f = SmoothFunction(f.value, f.d1, f.d2, f.d3, zero, None)
     lift = LiftedCurve(
         g1=lambda x: 1.0,
-        g2=lambda x: float(x),
+        g2=lambda x: x,
         dg1=zero,
         dg2=lambda x: 1.0,
         kappa=zero,
@@ -481,11 +502,11 @@ def curve_family(name: str, s: float = 0.0, c: float = 0.5) -> ProjectiveCurve:
 
 def derivative_consistency(f: SmoothFunction, xs, h: float = 1e-4) -> float:
     """Max relative deviation of analytic derivatives from central differences."""
+    x = np.asarray(xs, dtype=float)
+    fd1 = (f(x + h) - f(x - h)) / (2 * h)
+    fd2 = (f(x + h) - 2 * f(x) + f(x - h)) / (h * h)
     worst = 0.0
-    for x in xs:
-        fd1 = (f(x + h) - f(x - h)) / (2 * h)
-        fd2 = (f(x + h) - 2 * f(x) + f(x - h)) / (h * h)
-        for got, ref in ((f.d1(x), fd1), (f.d2(x), fd2)):
-            scale = max(1.0, abs(ref))
-            worst = max(worst, abs(got - ref) / scale)
+    for got, ref in ((on_grid(f.d1, x), fd1), (on_grid(f.d2, x), fd2)):
+        dev = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+        worst = max(worst, float(np.max(dev, initial=0.0)))
     return worst

@@ -15,13 +15,18 @@ from typing import Callable
 
 import numpy as np
 
+from .curves import on_grid
 from .exceptions import GridTooCoarse
 from .quadrature import resolution
 
 
 @dataclass(frozen=True)
 class HillPotential:
-    """Periodic potential in curvature form u'' = kappa u."""
+    """Periodic potential in curvature form u'' = kappa u.
+
+    kappa, dkappa and the k-form adapters are elementwise in a float or an
+    ndarray; a constant one may return a scalar.
+    """
 
     kappa: Callable[[float], float]
     c: float
@@ -51,27 +56,52 @@ class HillSolution:
     dys: np.ndarray
 
 
-def _rk4(kappa, T: float, y0: float, dy0: float, steps: int) -> HillSolution:
-    # classical fixed-step RK4 on (u, u') with u'' = kappa(x) u
+def _fundamental(kappa, T: float, steps: int) -> tuple[HillSolution, HillSolution]:
+    """Fixed-step RK4 for the two solutions started at (u, u') = (1, 0) and (0, 1).
+
+    kappa is evaluated once, on the 2*steps + 1 half-step points of [0, T].
+    """
     h = T / steps
-    xs = np.empty(steps + 1)
-    ys = np.empty(steps + 1)
-    dys = np.empty(steps + 1)
-    x, u, v = 0.0, float(y0), float(dy0)
-    xs[0], ys[0], dys[0] = x, u, v
-    for i in range(steps):
-        k1u, k1v = v, kappa(x) * u
+    xs = np.arange(2 * steps + 1) * (0.5 * h)
+    k = on_grid(kappa, xs).tolist()
+
+    def step(u, v, k0, kh, k1):
+        # classical RK4 on (u, u') with u'' = kappa u; kappa at the step's
+        # start, midpoint and end
+        k1u, k1v = v, k0 * u
         k2u = v + 0.5 * h * k1v
-        k2v = kappa(x + 0.5 * h) * (u + 0.5 * h * k1u)
+        k2v = kh * (u + 0.5 * h * k1u)
         k3u = v + 0.5 * h * k2v
-        k3v = kappa(x + 0.5 * h) * (u + 0.5 * h * k2u)
+        k3v = kh * (u + 0.5 * h * k2u)
         k4u = v + h * k3v
-        k4v = kappa(x + h) * (u + h * k3u)
-        u += (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        v += (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        x = (i + 1) * h
-        xs[i + 1], ys[i + 1], dys[i + 1] = x, u, v
-    return HillSolution(xs=xs, ys=ys, dys=dys)
+        k4v = k1 * (u + h * k3u)
+        return (
+            u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u),
+            v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v),
+        )
+
+    a, da, b, db = 1.0, 0.0, 0.0, 1.0
+    states = [(a, da, b, db)]
+    for i in range(steps):
+        k0, kh, k1 = k[2 * i], k[2 * i + 1], k[2 * i + 2]
+        a, da = step(a, da, k0, kh, k1)
+        b, db = step(b, db, k0, kh, k1)
+        states.append((a, da, b, db))
+    a, da, b, db = np.array(states).T
+    return HillSolution(xs[::2], a, da), HillSolution(xs[::2], b, db)
+
+
+def _combine(a: HillSolution, b: HillSolution, y0: float, dy0: float) -> HillSolution:
+    return HillSolution(a.xs, y0 * a.ys + dy0 * b.ys, y0 * a.dys + dy0 * b.dys)
+
+
+def _monodromy(a: HillSolution, b: HillSolution) -> np.ndarray:
+    return np.array([[a.ys[-1], b.ys[-1]], [a.dys[-1], b.dys[-1]]])
+
+
+def _rk4(kappa, T: float, y0: float, dy0: float, steps: int) -> HillSolution:
+    """The solution with u(0) = y0, u'(0) = dy0, from one fundamental pass."""
+    return _combine(*_fundamental(kappa, T, steps), y0, dy0)
 
 
 def hill_solve(
@@ -86,17 +116,13 @@ def hill_solve(
     steps = resolution(steps)
     if steps < 64:
         raise ValueError("need at least 64 steps per period")
-    sol = _rk4(pot.kappa, T, y0, dy0, steps)
-    m = monodromy_matrix(pot, T, steps)
-    return sol, m
+    a, b = _fundamental(pot.kappa, T, steps)
+    return _combine(a, b, y0, dy0), _monodromy(a, b)
 
 
 def monodromy_matrix(pot: HillPotential, T: float | None = None, steps: int | None = None) -> np.ndarray:
     T = pot.period if T is None else T
-    steps = resolution(steps)
-    a = _rk4(pot.kappa, T, 1.0, 0.0, steps)
-    b = _rk4(pot.kappa, T, 0.0, 1.0, steps)
-    return np.array([[a.ys[-1], b.ys[-1]], [a.dys[-1], b.dys[-1]]])
+    return _monodromy(*_fundamental(pot.kappa, T, resolution(steps)))
 
 
 def is_antiperiodic(m: np.ndarray, tol: float = 1e-6) -> bool:
@@ -140,9 +166,7 @@ def is_nonoscillating(
 ) -> bool:
     """Every solution has exactly one zero per period, over random basis mixes."""
     T = pot.period if T is None else T
-    steps = resolution(steps)
-    a = _rk4(pot.kappa, T, 1.0, 0.0, steps)
-    b = _rk4(pot.kappa, T, 0.0, 1.0, steps)
+    a, b = _fundamental(pot.kappa, T, resolution(steps))
     rng = random.Random(seed)
     for _ in range(trials):
         alpha = rng.uniform(-1.0, 1.0)

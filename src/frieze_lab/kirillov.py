@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import ProjectiveCurve, SmoothFunction, sf_derivative, sf_product, sf_reciprocal
+from .curves import ProjectiveCurve, SmoothFunction, on_grid, sf_derivative, sf_product, sf_reciprocal
 from .exceptions import DerivativeVanishes, QuadratureDisagreement
 from .hill import HillPotential
 from .quadrature import periodic_nodes, periodic_trapezoid, resolution
@@ -57,14 +57,9 @@ def kirillov_form_fields_both(
     T = pot.period
     n = resolution(nodes)
     xs = periodic_nodes(T, n)
-    k = np.array([pot.hill_k(float(x)) for x in xs])
-    dk = np.array([pot.hill_dk(float(x)) for x in xs])
-    Xv = np.array([X(float(x)) for x in xs])
-    X1 = np.array([X.d1(float(x)) for x in xs])
-    X3 = np.array([X.d3(float(x)) for x in xs])
-    Yv = np.array([Y(float(x)) for x in xs])
-    Y1 = np.array([Y.d1(float(x)) for x in xs])
-    Y2 = np.array([Y.d2(float(x)) for x in xs])
+    k, dk, Xv, X1, X3, Yv, Y1, Y2 = (
+        on_grid(fn, xs) for fn in (pot.hill_k, pot.hill_dk, X, X.d1, X.d3, Y, Y.d1, Y.d2)
+    )
     c = pot.c
     line1 = periodic_trapezoid(k * (Xv * Y1 - X1 * Yv), T) - c * periodic_trapezoid(
         X1 * Y2, T
@@ -90,13 +85,10 @@ def kirillov_form_curve(
     n = resolution(nodes)
     xs = periodic_nodes(T, n)
     f = curve.f
-    fp = np.array([f.d1(float(x)) for x in xs])
+    fp = on_grid(f.d1, xs)
     if np.min(np.abs(fp)) < 1e-14:
         raise DerivativeVanishes("f' vanished at a quadrature node")
-    x1 = np.array([xi.d1(float(x)) for x in xs])
-    x2 = np.array([xi.d2(float(x)) for x in xs])
-    e1 = np.array([eta.d1(float(x)) for x in xs])
-    e2 = np.array([eta.d2(float(x)) for x in xs])
+    x1, x2, e1, e2 = (on_grid(fn, xs) for fn in (xi.d1, xi.d2, eta.d1, eta.d2))
     return -curve.c * periodic_trapezoid((x1 * e2 - x2 * e1) / fp**2, T)
 
 

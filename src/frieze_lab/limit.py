@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cluster import omega_geometric
-from .curves import LiftedCurve, ProjectiveCurve, SmoothFunction, lift_curve, sf_combine, sf_const
+from .curves import LiftedCurve, ProjectiveCurve, SmoothFunction, lift_curve, on_grid, sf_combine, sf_const
 from .exceptions import SecondComponentVanishes
 from .kirillov import kirillov_form_curve
 from .quadrature import periodic_nodes, periodic_trapezoid, resolution
@@ -47,30 +47,28 @@ class DiscretizationScheme:
         return self.period / self.n
 
 
+def _sampled(c1, c2, scheme: DiscretizationScheme) -> np.ndarray:
+    # eps^{-1/2} (c1, c2) at the vertices, as a 2 x n array
+    w, xs = scheme.eps**-0.5, periodic_nodes(scheme.period, scheme.n)
+    return np.array([w * on_grid(c1, xs), w * on_grid(c2, xs)])
+
+
 def sample_polygon(lift: LiftedCurve, scheme: DiscretizationScheme) -> list[tuple[float, float]]:
-    w = scheme.eps**-0.5
-    return [
-        (w * lift.g1(i * scheme.eps), w * lift.g2(i * scheme.eps))
-        for i in range(scheme.n)
-    ]
+    return list(zip(*_sampled(lift.g1, lift.g2, scheme).tolist()))
 
 
 def unit_determinant_defect(polygon: Sequence[tuple[float, float]]) -> float:
     """max |[V_i, V_{i+1}] - 1| around the polygon, with V_n = -V_0."""
-    n = len(polygon)
-    worst = 0.0
-    for i in range(n):
-        nxt = polygon[i + 1] if i + 1 < n else (-polygon[0][0], -polygon[0][1])
-        worst = max(worst, abs(det2(polygon[i], nxt) - 1.0))
-    return worst
+    v = np.asarray(polygon, dtype=float).T
+    nxt = np.concatenate([v[:, 1:], -v[:, :1]], axis=1)
+    return float(np.max(np.abs(det2(v, nxt) - 1.0)))
 
 
 def quiddity_from_potential(kappa: Callable[[float], float], scheme: DiscretizationScheme) -> DiscreteHillEquation:
     """Second-difference discretization c_i = 2 + eps^2 kappa(i eps) of u'' = kappa u."""
     eps = scheme.eps
-    return DiscreteHillEquation(
-        c=tuple(2.0 + eps * eps * kappa(i * eps) for i in range(scheme.n))
-    )
+    c = 2.0 + eps * eps * on_grid(kappa, periodic_nodes(scheme.period, scheme.n))
+    return DiscreteHillEquation(c=tuple(c.tolist()))
 
 
 def scaled_monodromy_defect(eq: DiscreteHillEquation, period: float) -> float:
@@ -98,6 +96,7 @@ def scaled_monodromy_defect(eq: DiscreteHillEquation, period: float) -> float:
 class TangentLiftCurve:
     """Derivative of the canonical lift along a variation xi of f.
 
+    The component evaluators are elementwise in a float or an ndarray.
     Components are expressed through the lift itself (x1 = -xi' g1^3 / 2,
     x2 = xi g1 - xi' g1^2 g2 / 2), which stays branch-consistent and bounded
     even where f blows up.
@@ -176,34 +175,22 @@ def lift_polygon_tangent(
     """
     tl = tangent_lift(curve, xi)
     lift = lift_curve(curve)
-    w = scheme.eps**-0.5
-    raw = [
-        (w * tl.x1(i * scheme.eps), w * tl.x2(i * scheme.eps))
-        for i in range(scheme.n)
-    ]
-    verts = sample_polygon(lift, scheme)
-    m = _sl2_fit(verts[-1], raw[-1])
-    out = []
-    for v, t in zip(verts, raw):
-        mv = m @ np.array(v)
-        out.append((t[0] - float(mv[0]), t[1] - float(mv[1])))
+    raw = _sampled(tl.x1, tl.x2, scheme)
+    verts = _sampled(lift.g1, lift.g2, scheme)
+    m = _sl2_fit(verts[:, -1], raw[:, -1])
+    out = raw - m @ verts
     # the last entry is zero by construction; clamp roundoff
-    out[-1] = (0.0, 0.0)
-    return out
+    out[:, -1] = 0.0
+    return list(zip(*out.tolist()))
 
 
 def constraint_defect(
     polygon: Sequence[tuple[float, float]], tangent: Sequence[tuple[float, float]]
 ) -> float:
     """max |[V_i, xi_{i+1}] + [xi_i, V_{i+1}]|, the bracket-preservation residual."""
-    n = len(polygon)
-    worst = 0.0
-    for i in range(n - 1):
-        worst = max(
-            worst,
-            abs(det2(polygon[i], tangent[i + 1]) + det2(tangent[i], polygon[i + 1])),
-        )
-    return worst
+    v, t = np.asarray(polygon, dtype=float).T, np.asarray(tangent, dtype=float).T
+    gap = det2(v[:, :-1], t[:, 1:]) + det2(t[:, :-1], v[:, 1:])
+    return float(np.max(np.abs(gap), initial=0.0))
 
 
 def discrete_form_value(
@@ -243,13 +230,10 @@ def continuum_integral(
     T = lift.period
     n = resolution(nodes)
     xs = periodic_nodes(T, n, offset=0.5)
-    g2 = np.array([lift.g2(float(x)) for x in xs])
+    g2 = on_grid(lift.g2, xs)
     if np.min(np.abs(g2)) < 1e-10:
         raise SecondComponentVanishes("Gamma_2 ~ 0 at a quadrature node")
-    a = np.array([txi.x2(float(x)) for x in xs])
-    da = np.array([txi.dx2(float(x)) for x in xs])
-    b = np.array([teta.x2(float(x)) for x in xs])
-    db = np.array([teta.dx2(float(x)) for x in xs])
+    a, da, b, db = (on_grid(fn, xs) for fn in (txi.x2, txi.dx2, teta.x2, teta.dx2))
     return periodic_trapezoid((a * db - da * b) / g2**2, T)
 
 

@@ -16,10 +16,15 @@ DEFAULT_NODES = 4096
 
 
 def resolution(override: int | None = None) -> int:
-    if override is not None:
-        return int(override)
+    """Node/step count: the override, else FRIEZE_LAB_NODES, else the default."""
     env = os.environ.get("FRIEZE_LAB_NODES")
-    return int(env) if env else DEFAULT_NODES
+    if override is None and not env:
+        return DEFAULT_NODES
+    n = int(env if override is None else override)
+    if n < 1:
+        source = "FRIEZE_LAB_NODES" if override is None else "the requested resolution (--nodes/--steps)"
+        raise ValueError(f"{source} must be at least 1, got {n}")
+    return n
 
 
 def periodic_nodes(period: float, n: int, offset: float = 0.0) -> np.ndarray:
@@ -34,7 +39,7 @@ def periodic_trapezoid(values, period: float) -> float:
 
 
 def mixed_partial(F, x: float, y: float, h: float = 1e-3) -> float:
-    """Second-order central estimate of d^2 F / dx dy."""
+    """Second-order central estimate of d^2 F / dx dy, elementwise in x and y."""
     return (
         F(x + h, y + h) - F(x + h, y - h) - F(x - h, y + h) + F(x - h, y - h)
     ) / (4.0 * h * h)

@@ -125,8 +125,8 @@ def test_criterion_4_closed_form_friezes():
     dev = max(abs(Fz.F(float(x), float(x + u)) - math.sin(float(u))) for x in xs for u in us)
     assert dev < 1e-12
     # F = 1 + xy from the two-curve construction
-    ga = fl.LiftedCurve(lambda x: float(x), lambda x: -1.0, lambda x: 1.0, lambda x: 0.0, lambda x: 0.0, None)
-    gb = fl.LiftedCurve(lambda x: 1.0, lambda x: float(x), lambda x: 0.0, lambda x: 1.0, lambda x: 0.0, None)
+    ga = fl.LiftedCurve(lambda x: x, lambda x: -1.0, lambda x: 1.0, lambda x: 0.0, lambda x: 0.0, None)
+    gb = fl.LiftedCurve(lambda x: 1.0, lambda x: x, lambda x: 0.0, lambda x: 1.0, lambda x: 0.0, None)
     H = fl.frieze_from_curve(ga, gb)
     assert fl.liouville_residual(H, grid=32, domain=((0.1, 2.0), (0.1, 2.0))) < 1e-8
     # f = x: F = y - x with constant curvature -1

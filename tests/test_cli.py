@@ -220,14 +220,48 @@ def test_hill_steps_reach_every_pass(capsys, monkeypatch):
     import frieze_lab.hill as hill
 
     seen = []
-    rk4 = hill._rk4
+    fundamental = hill._fundamental
 
-    def recording(kappa, T, y0, dy0, steps):
+    def recording(kappa, T, steps):
         seen.append(steps)
-        return rk4(kappa, T, y0, dy0, steps)
+        return fundamental(kappa, T, steps)
 
-    monkeypatch.setattr(hill, "_rk4", recording)
+    monkeypatch.setattr(hill, "_fundamental", recording)
     code, out, _ = run(capsys, "continuum", "hill", "--steps", "128")
     assert code == 0
-    # solution, two monodromy columns, two oscillation-test columns
-    assert seen == [128] * 5
+    # one pass for the solution and monodromy, one for the oscillation test
+    assert seen == [128, 128]
+
+
+def test_non_finite_s_exit_2(capsys):
+    for argv in (("continuum", "liouville", "--s", "inf"), ("continuum", "kirillov", "--s", "nan")):
+        code, out, err = run(capsys, *argv)
+        assert_json_error(code, out, err)
+        assert "--s" in json.loads(out)["error"]
+
+
+def test_zero_or_non_finite_c_exit_2(capsys):
+    for argv in (("continuum", "kirillov", "--c", "0"), ("limit", "study", "--c", "nan")):
+        code, out, err = run(capsys, *argv)
+        assert_json_error(code, out, err)
+        assert "--c" in json.loads(out)["error"]
+
+
+def test_nodes_zero_exit_2(capsys):
+    code, out, err = run(capsys, "continuum", "kirillov", "--nodes", "0")
+    assert_json_error(code, out, err)
+    assert "--nodes" in json.loads(out)["error"]
+
+
+def test_nodes_env_negative_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("FRIEZE_LAB_NODES", "-5")
+    code, out, err = run(capsys, "continuum", "kirillov")
+    assert_json_error(code, out, err)
+    assert "FRIEZE_LAB_NODES" in json.loads(out)["error"]
+
+
+def test_grid_zero_exit_2_for_every_grid_command(capsys):
+    for sub in ("liouville", "curvature"):
+        code, out, err = run(capsys, "continuum", sub, "--grid", "0")
+        assert_json_error(code, out, err)
+        assert "--grid" in json.loads(out)["error"]

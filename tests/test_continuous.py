@@ -25,12 +25,12 @@ def test_two_curve_frieze_one_plus_xy():
     # Gamma = (x, -1), Gamma~ = (1, y): both have unit bracket with their
     # derivative, and the mixed bracket is 1 + xy
     ga = fl.LiftedCurve(
-        g1=lambda x: float(x), g2=lambda x: -1.0,
+        g1=lambda x: x, g2=lambda x: -1.0,
         dg1=lambda x: 1.0, dg2=lambda x: 0.0,
         kappa=lambda x: 0.0, period=None,
     )
     gb = fl.LiftedCurve(
-        g1=lambda x: 1.0, g2=lambda x: float(x),
+        g1=lambda x: 1.0, g2=lambda x: x,
         dg1=lambda x: 0.0, dg2=lambda x: 1.0,
         kappa=lambda x: 0.0, period=None,
     )
@@ -207,7 +207,7 @@ def test_liouville_residual_field_shape():
 
 
 def test_boundary_check_fd_fallback():
-    Fz = ContinuousFrieze(F=lambda x, y: math.sin(y - x), period=math.pi)
+    Fz = ContinuousFrieze(F=lambda x, y: np.sin(y - x), period=math.pi)
     res = fl.boundary_check(Fz, math.pi)
     assert res["diagonal_zero"] < 1e-12
     assert res["unit_slope"] < 1e-9 and res["unit_slope_x"] < 1e-9

@@ -6,6 +6,7 @@ import pytest
 import frieze_lab as fl
 from frieze_lab.curves import (
     derivative_consistency,
+    on_grid,
     sf_compose,
     sf_identity,
     trig_poly,
@@ -151,3 +152,64 @@ def test_from_callable_fd_fallback():
     assert abs(f.d1(0.3) - math.cos(0.3)) < 1e-7
     assert abs(f.d2(0.3) + math.sin(0.3)) < 1e-6
     assert abs(f.d3(0.3) + math.cos(0.3)) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the array contract: one call on an array equals one call per float point
+
+RNG = np.random.default_rng(20131221)
+PTS = RNG.uniform(0.0, math.pi, 64)
+PTS_Y = PTS + RNG.uniform(0.2, math.pi - 0.2, 64)
+
+
+def assert_elementwise(fn, *coords):
+    got = on_grid(fn, *coords)
+    cols = np.broadcast_arrays(*coords)
+    ref = [fn(*(float(c.flat[i]) for c in cols)) for i in range(got.size)]
+    np.testing.assert_allclose(got.ravel(), ref, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3])
+def test_tan_family_evaluators_are_elementwise(s):
+    cur = fl.tan_family(s)
+    lift = fl.lift_curve(cur)
+    f, inv = cur.f, cur.inv_d1
+    for fn in (f.value, f.d1, f.d2, f.d3, f.d4, inv.value, inv.d1, inv.d2, inv.d3):
+        assert_elementwise(fn, PTS)
+    for fn in (lift.g1, lift.g2, lift.dg1, lift.dg2, lift.kappa, cur.dkappa, cur.branch_count):
+        assert_elementwise(fn, PTS)
+
+
+def test_trig_poly_is_elementwise():
+    f = trig_poly(math.pi, {0: (0.3, 0.0), 1: (0.5, -0.2), 3: (0.0, 0.25)})
+    for order in range(5):
+        assert_elementwise(lambda x: f.deriv(order, x), PTS)
+
+
+def test_frieze_evaluators_are_elementwise():
+    cur = fl.tan_family(0.3)
+    G = fl.frieze_genform(cur)
+    for fn in (G.F, G.Fx, G.Fy, G.Fxy):
+        assert_elementwise(fn, PTS, PTS_Y)
+    tl = fl.tangent_lift(cur, trig_poly(math.pi, {0: (0.5, 0.0), 1: (-0.5, 0.0)}))
+    for fn in (tl.x1, tl.x2, tl.dx1, tl.dx2):
+        assert_elementwise(fn, PTS)
+    pot = fl.potential_from_frieze(fl.frieze_from_curve(fl.lift_curve(cur)))
+    assert_elementwise(pot.kappa, PTS)
+
+
+def test_guard_messages_name_one_point():
+    s = fl.schwarzian(trig_poly(2 * math.pi, {1: (1.0, 0.0)}))  # cos: f'(0) = f'(pi) = 0
+    with pytest.raises(fl.DerivativeVanishes) as err:
+        s(np.array([0.5, 0.0, math.pi]))
+    assert str(err.value) == "f'(0.0) ~ 0"
+    with pytest.raises(fl.NonPositiveF) as err:
+        fl.curvature_conformal(
+            fl.ContinuousFrieze(F=lambda x, y: y - x), grid=16, domain=((0.0, 1.0), (-2.0, -1.0))
+        )
+    assert str(err.value) == "F(0.0, -2.0) <= 0"
+
+
+def test_admissibility_rejects_nan():
+    with pytest.raises(fl.DerivativeVanishes):
+        fl.tan_family(float("nan")).require_admissible()

@@ -72,3 +72,20 @@ def test_minimum_steps_guard():
     pot = potential_from_constant(-1.0, period=math.pi)
     with pytest.raises(ValueError):
         fl.hill_solve(pot, steps=32)
+
+
+def test_one_kappa_call_per_pass():
+    # kappa is evaluated once per RK4 pass, on the 2*steps + 1 half-step points
+    shapes = []
+
+    def kappa(x):
+        shapes.append(np.shape(x))
+        return np.full(np.shape(x), -1.0)
+
+    pot = HillPotential(kappa=kappa, c=0.5, period=math.pi)
+    sol, m = fl.hill_solve(pot, steps=256)
+    assert shapes == [(513,)]
+    assert np.max(np.abs(m + np.eye(2))) < 1e-6
+    assert np.max(np.abs(sol.ys - np.cos(sol.xs))) < 1e-8
+    assert fl.is_nonoscillating(pot, steps=256)
+    assert shapes == [(513,), (513,)]
