@@ -5,8 +5,9 @@ In diagonal coordinates (a_1..a_w) the form is
     omega = sum_{i=1}^{w-1}  da_i ^ da_{i+1} / (a_i a_{i+1}),
 
 in zigzag coordinates the same sum acquires a sign (-1)^{eps_i} that is 0 on
-SE steps and 1 on SW steps, and on the fundamental polygon it is evaluated
-through brackets against the distinguished vertex V_{n-1}.
+SE steps and 1 on SW steps, and on the fundamental polygon it is the same
+diagonal sum evaluated on brackets against the distinguished vertex V_{n-1}:
+a_i = [V_{n-1}, V_i], and the tangent components [V_{n-1}, xi_i].
 
 Coordinate changes run on the fundamental polygon.  The source chart is
 seeded with jets, straightened to a diagonal and turned into its quiddity;
@@ -204,28 +205,20 @@ def omega_geometric(polygon: Sequence, xi: Sequence, eta: Sequence, gauge_tol: f
     Evaluates sum_{i=1}^{w-1} of
 
         ([V_{n-1},xi_i][V_{n-1},eta_{i+1}] - [V_{n-1},xi_{i+1}][V_{n-1},eta_i])
-        / ([V_{n-1},V_i][V_{n-1},V_{i+1}]).
+        / ([V_{n-1},V_i][V_{n-1},V_{i+1}]),
 
-    Every factor appears in a product of two brackets, so the value does not
-    depend on the orientation convention of the bracket.
+    that is omega_diagonal on the brackets a_i = [V_{n-1}, V_i],
+    x_i = [V_{n-1}, xi_i] and e_i = [V_{n-1}, eta_i], i = 1..w.  Every factor
+    appears in a product of two brackets, so the value does not depend on the
+    orientation convention of the bracket.
     """
     n = len(polygon)
-    w = n - 3
     vlast = polygon[n - 1]
     for t in (xi, eta):
         if not _is_zero_vector(t[n - 1], gauge_tol):
             raise GaugeViolation("tangent must vanish at the distinguished vertex")
-    total = None
-    for i in range(1, w):
-        num = det2(vlast, xi[i]) * det2(vlast, eta[i + 1]) - det2(vlast, xi[i + 1]) * det2(
-            vlast, eta[i]
-        )
-        den = det2(vlast, polygon[i]) * det2(vlast, polygon[i + 1])
-        term = num / den
-        total = term if total is None else total + term
-    if total is None:
-        total = Fraction(0) if isinstance(vlast[0], (int, Fraction)) else 0.0
-    return total
+    a, x, e = ([det2(vlast, v[i]) for i in range(1, n - 2)] for v in (polygon, xi, eta))
+    return _pair_sum(a, x, e)
 
 
 def polygon_tangent_from_diagonal(a: DiagonalCoords, delta: Sequence):

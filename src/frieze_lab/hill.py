@@ -113,10 +113,7 @@ def hill_solve(
 ) -> tuple[HillSolution, np.ndarray]:
     """Integrate one period and return the samples plus the monodromy matrix."""
     T = pot.period if T is None else T
-    steps = resolution(steps)
-    if steps < 64:
-        raise ValueError("need at least 64 steps per period")
-    a, b = _fundamental(pot.kappa, T, steps)
+    a, b = _fundamental(pot.kappa, T, resolution(steps))
     return _combine(a, b, y0, dy0), _monodromy(a, b)
 
 

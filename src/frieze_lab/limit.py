@@ -7,7 +7,9 @@ Sampling a unit-determinant lift at n points with the 1/sqrt(step) weight,
 produces a polygon with consecutive brackets 1 + O(eps^2).  A variation xi of
 the underlying f lifts to a tangent curve along Gamma; sampled the same way
 and gauge-fixed to vanish at the distinguished vertex V_{n-1}, it feeds the
-geometric cluster-form sum, whose continuum limit is the integral
+geometric cluster-form sum.  Polygons and tangents are n x 2 arrays (row i is
+V_i or xi_i); the sum is one array expression over brackets against V_{n-1},
+and its end terms i = 0 and i = w are the boundary cells.  Its limit is
 
     int_0^T (xi_2 eta_2' - xi_2' eta_2) / Gamma_2^2 dx
 
@@ -23,9 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cluster import omega_geometric
 from .curves import LiftedCurve, ProjectiveCurve, SmoothFunction, lift_curve, on_grid, sf_combine, sf_const
-from .exceptions import SecondComponentVanishes
+from .exceptions import GaugeViolation, SecondComponentVanishes
 from .kirillov import kirillov_form_curve
 from .quadrature import periodic_nodes, periodic_trapezoid, resolution
 from .recurrence import DiscreteHillEquation, det2
@@ -53,8 +54,9 @@ def _sampled(c1, c2, scheme: DiscretizationScheme) -> np.ndarray:
     return np.array([w * on_grid(c1, xs), w * on_grid(c2, xs)])
 
 
-def sample_polygon(lift: LiftedCurve, scheme: DiscretizationScheme) -> list[tuple[float, float]]:
-    return list(zip(*_sampled(lift.g1, lift.g2, scheme).tolist()))
+def sample_polygon(lift: LiftedCurve, scheme: DiscretizationScheme) -> np.ndarray:
+    """The n x 2 array whose row i is V_i = eps^{-1/2} Gamma(i eps)."""
+    return _sampled(lift.g1, lift.g2, scheme).T
 
 
 def unit_determinant_defect(polygon: Sequence[tuple[float, float]]) -> float:
@@ -165,8 +167,8 @@ def _sl2_fit(v: tuple[float, float], w: tuple[float, float]) -> np.ndarray:
 
 def lift_polygon_tangent(
     curve: ProjectiveCurve, xi: SmoothFunction, scheme: DiscretizationScheme
-) -> list[tuple[float, float]]:
-    """Sampled tangent lift, gauge-corrected to vanish exactly at V_{n-1}.
+) -> np.ndarray:
+    """Sampled tangent lift (n x 2), gauge-corrected to vanish exactly at V_{n-1}.
 
     The correction subtracts the sl2 motion M V_i with M fitted to the raw
     value at the distinguished vertex; sl2 motions preserve the bracket
@@ -181,7 +183,7 @@ def lift_polygon_tangent(
     out = raw - m @ verts
     # the last entry is zero by construction; clamp roundoff
     out[:, -1] = 0.0
-    return list(zip(*out.tolist()))
+    return out.T
 
 
 def constraint_defect(
@@ -193,27 +195,29 @@ def constraint_defect(
     return float(np.max(np.abs(gap), initial=0.0))
 
 
-def discrete_form_value(
-    polygon: Sequence[tuple[float, float]],
-    xi: Sequence[tuple[float, float]],
-    eta: Sequence[tuple[float, float]],
-) -> float:
-    return float(omega_geometric(polygon, xi, eta))
+def _cell_terms(polygon, xi, eta) -> np.ndarray:
+    """Cells i = 0..w of the geometric cluster-form sum, as one array.
+
+    Cell i is (x_i e_{i+1} - x_{i+1} e_i) / (a_i a_{i+1}) over the brackets
+    a = [V_{n-1}, V], x = [V_{n-1}, xi] and e = [V_{n-1}, eta]; cells 1..w-1
+    are the terms of cluster.omega_geometric.
+    """
+    v, x, e = (np.asarray(p, dtype=float) for p in (polygon, xi, eta))
+    if not np.all(np.abs([x[-1], e[-1]]) <= 1e-9):
+        raise GaugeViolation("tangent must vanish at the distinguished vertex")
+    a, x, e = (det2(v[-1], p[:-1].T) for p in (v, x, e))
+    return (x[:-1] * e[1:] - x[1:] * e[:-1]) / (a[:-1] * a[1:])
+
+
+def discrete_form_value(polygon, xi, eta) -> float:
+    """The geometric cluster-form sum over cells 1..w-1."""
+    return float(np.sum(_cell_terms(polygon, xi, eta)[1:-1]))
 
 
 def boundary_cells_value(polygon, xi, eta) -> float:
     """Contribution of the two cells (i = 0 and i = w) outside the main sum."""
-    n = len(polygon)
-    w = n - 3
-    vlast = polygon[n - 1]
-    total = 0.0
-    for i in (0, w):
-        num = det2(vlast, xi[i]) * det2(vlast, eta[i + 1]) - det2(
-            vlast, xi[i + 1]
-        ) * det2(vlast, eta[i])
-        den = det2(vlast, polygon[i]) * det2(vlast, polygon[i + 1])
-        total += num / den
-    return total
+    terms = _cell_terms(polygon, xi, eta)
+    return float(terms[0] + terms[-1])
 
 
 def continuum_integral(
@@ -304,8 +308,8 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Discrete cluster sum against its continuum integral and the orbit form."""
     ns = list(n_list)
-    if ns != sorted(ns):
-        raise ValueError("sample counts must be increasing")
+    if min(ns, default=0) < 8 or any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"sample counts must be strictly increasing and at least 8, got {ns}")
     xi_g = gauge_variation(curve, xi)
     eta_g = gauge_variation(curve, eta)
     lift = lift_curve(curve)

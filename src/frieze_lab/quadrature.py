@@ -3,7 +3,8 @@
 Integrals of smooth T-periodic functions use the composite trapezoidal rule on
 uniform grids, which is spectrally accurate in that setting; the default
 resolution is 4096 nodes and may be overridden with the FRIEZE_LAB_NODES
-environment variable.
+environment variable.  Any count, from a flag or the environment, must be at
+least MIN_RESOLUTION = 64, the coarsest grid the RK4 Hill passes accept.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import os
 import numpy as np
 
 DEFAULT_NODES = 4096
+MIN_RESOLUTION = 64
 
 
 def resolution(override: int | None = None) -> int:
@@ -21,9 +23,9 @@ def resolution(override: int | None = None) -> int:
     if override is None and not env:
         return DEFAULT_NODES
     n = int(env if override is None else override)
-    if n < 1:
+    if n < MIN_RESOLUTION:
         source = "FRIEZE_LAB_NODES" if override is None else "the requested resolution (--nodes/--steps)"
-        raise ValueError(f"{source} must be at least 1, got {n}")
+        raise ValueError(f"{source} must be at least {MIN_RESOLUTION}, got {n}")
     return n
 
 

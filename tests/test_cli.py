@@ -265,3 +265,29 @@ def test_grid_zero_exit_2_for_every_grid_command(capsys):
         code, out, err = run(capsys, "continuum", sub, "--grid", "0")
         assert_json_error(code, out, err)
         assert "--grid" in json.loads(out)["error"]
+
+
+def test_curvature_h_not_positive_exit_2(capsys):
+    for h in ("0", "nan"):
+        code, out, err = run(capsys, "continuum", "curvature", "--grid", "8", "--h", h)
+        assert_json_error(code, out, err)
+        assert "--h" in json.loads(out)["error"]
+
+
+def test_limit_study_repeated_or_no_n_exit_2(capsys):
+    for counts in ("100,100,200", ","):
+        code, out, err = run(capsys, "limit", "study", "--n", counts)
+        assert_json_error(code, out, err)
+
+
+def test_nodes_below_floor_exit_2(capsys):
+    code, out, err = run(capsys, "continuum", "kirillov", "--nodes", "1")
+    assert_json_error(code, out, err)
+    assert "--nodes" in json.loads(out)["error"]
+
+
+def test_nodes_env_below_floor_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("FRIEZE_LAB_NODES", "8")
+    code, out, err = run(capsys, "continuum", "kirillov")
+    assert_json_error(code, out, err)
+    assert "FRIEZE_LAB_NODES" in json.loads(out)["error"]

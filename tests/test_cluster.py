@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
@@ -247,3 +249,18 @@ def test_chart_change_rejects_other_width():
     for w in (1, 3):
         with pytest.raises(ValueError):
             fl.chart_jacobian(d, fl.ZigzagPath(start=0, moves=(SE,) * (w - 1), width=w))
+
+
+def test_exact_modules_do_not_import_numpy():
+    # the exact side runs on Fractions and must stay free of numpy
+    root = Path(fl.__file__).parent
+    for name in ("frieze", "jets", "recurrence", "cluster", "serialize", "exceptions"):
+        tree = ast.parse((root / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "numpy" for m in modules), f"{name}.py imports numpy"

@@ -16,6 +16,8 @@ from frieze_lab.recurrence import det2
 T = math.pi
 XI = trig_poly(T, {0: (0.5, 0.0), 1: (-0.5, 0.0)})  # sin^2 x
 ETA = trig_poly(T, {0: (0.25, 0.0), 1: (0.0, 0.5), 2: (-0.25, 0.0)})
+XI3 = trig_poly(T, {0: (0.375, 0.0), 1: (-0.5, 0.0), 2: (0.125, 0.0)})  # sin^4 x
+XI4 = trig_poly(T, {1: (0.0, 0.25), 2: (0.0, -0.125)})  # sin^2 x sin 2x
 
 
 def test_sample_polygon_circle_determinants():
@@ -101,7 +103,7 @@ def test_polygon_tangent_gauge_exact():
     cur = fl.tan_family(0.2)
     scheme = DiscretizationScheme(n=128, period=T)
     tang = fl.lift_polygon_tangent(cur, fl.gauge_variation(cur, XI), scheme)
-    assert tang[-1] == (0.0, 0.0)
+    assert tang[-1].tolist() == [0.0, 0.0]
 
 
 def test_gauge_variation_pins_basepoint():
@@ -182,6 +184,64 @@ def test_study_requires_increasing_n():
     cur = fl.tan_family(0.2)
     with pytest.raises(ValueError):
         fl.convergence_study(cur, XI, ETA, [200, 100])
+
+
+def test_study_rejects_repeated_n():
+    cur = fl.tan_family(0.2)
+    with pytest.raises(ValueError):
+        fl.convergence_study(cur, XI, ETA, [100, 100])
+
+
+def test_study_runs_at_minimum_n():
+    report = fl.convergence_study(fl.tan_family(0.2), XI, ETA, [8], nodes=64)
+    assert report.records[0].n == 8
+    assert math.isfinite(report.records[0].discrete)
+    with pytest.raises(ValueError):
+        fl.convergence_study(fl.tan_family(0.2), XI, ETA, [7, 16])
+
+
+def _sampled_data(cur, n, xi, eta):
+    scheme = DiscretizationScheme(n=n, period=T)
+    poly = fl.sample_polygon(fl.lift_curve(cur), scheme)
+    pxi = fl.lift_polygon_tangent(cur, fl.gauge_variation(cur, xi), scheme)
+    peta = fl.lift_polygon_tangent(cur, fl.gauge_variation(cur, eta), scheme)
+    return poly, pxi, peta
+
+
+def test_discrete_form_matches_exact_loop_on_floats():
+    # the array sum against cluster.omega_geometric's loop on the same floats
+    cur = fl.tan_family(0.2)
+    for xi, eta in ((XI, ETA), (XI3, XI4)):
+        for n in (100, 400):
+            poly, pxi, peta = _sampled_data(cur, n, xi, eta)
+            ref = float(fl.omega_geometric(poly, pxi, peta))
+            got = fl.discrete_form_value(poly, pxi, peta)
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+def test_boundary_cells_match_bracket_formula():
+    cur = fl.tan_family(0.2)
+    for n in (100, 400):
+        poly, pxi, peta = _sampled_data(cur, n, XI, ETA)
+        vl = poly[n - 1]
+        ref = 0.0
+        for i in (0, n - 3):
+            num = det2(vl, pxi[i]) * det2(vl, peta[i + 1]) - det2(vl, pxi[i + 1]) * det2(vl, peta[i])
+            ref += num / (det2(vl, poly[i]) * det2(vl, poly[i + 1]))
+        got = boundary_cells_value(poly, pxi, peta)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+def test_float_gauge_violation():
+    cur = fl.tan_family(0.2)
+    poly, pxi, peta = _sampled_data(cur, 64, XI, ETA)
+    bad = pxi.copy()
+    bad[-1] = (1e-6, 0.0)
+    for args in ((poly, bad, peta), (poly, peta, bad)):
+        with pytest.raises(fl.GaugeViolation):
+            fl.discrete_form_value(*args)
+        with pytest.raises(fl.GaugeViolation):
+            boundary_cells_value(*args)
 
 
 def test_scheme_minimum_size():
