@@ -38,6 +38,7 @@ from .curves import (
     ProjectiveCurve,
     SmoothFunction,
     curve_family,
+    from_derivatives,
     lift_curve,
     linear_family,
     mobius_transform,

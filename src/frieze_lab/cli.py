@@ -27,6 +27,7 @@ import numpy as np
 from . import serialize
 from .cluster import omega_rank
 from .continuous import (
+    MIN_LIOUVILLE_GRID,
     boundary_check,
     curvature_conformal,
     frieze_from_curve,
@@ -174,8 +175,9 @@ def _family_curve(args):
 
 
 def cmd_continuum(args) -> int:
-    if "grid" in vars(args) and args.grid < 1:
-        return _fail("--grid must be at least 1")
+    grid_floor = MIN_LIOUVILLE_GRID if args.sub == "liouville" else 1
+    if "grid" in vars(args) and args.grid < grid_floor:
+        return _fail(f"--grid must be at least {grid_floor}, got {args.grid}")
     if "h" in vars(args) and not 0.0 < args.h < math.inf:
         return _fail(f"--h must be finite and positive, got {args.h}")
     curve = _family_curve(args)
@@ -313,8 +315,15 @@ def cmd_limit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as ValueError, so main answers it like any bad input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="frieze-lab", description=__doc__)
+    parser = _Parser(prog="frieze-lab", description=__doc__)
     groups = parser.add_subparsers(dest="group", required=True)
 
     fz = groups.add_parser("frieze", help="exact frieze patterns").add_subparsers(
@@ -342,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="sub", required=True
     )
     for name, extra in (
-        ("hill", ()),
+        ("hill", ("steps",)),
         ("frieze2d", ("grid",)),
         ("liouville", ("grid", "format")),
         ("curvature", ("grid", "h", "format")),
@@ -352,8 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--family", default="tan", choices=("tan", "linear"))
         sub.add_argument("--s", type=float, default=0.0)
         sub.add_argument("--c", type=float, default=0.5)
-        sub.add_argument("--steps", type=int, default=None)
         sub.add_argument("--output", "-o", default=None)
+        if "steps" in extra:
+            sub.add_argument("--steps", type=int, default=None)
         if "grid" in extra:
             sub.add_argument("--grid", type=int, default=48)
         if "h" in extra:
@@ -383,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.group == "frieze":
             return cmd_frieze(args)
         if args.group == "continuum":

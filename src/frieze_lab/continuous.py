@@ -27,6 +27,9 @@ from .quadrature import mixed_partial
 
 Domain = tuple[tuple[float, float], tuple[float, float]]
 
+# smallest n for the n x n grid of liouville_residual_field
+MIN_LIOUVILLE_GRID = 32
+
 
 @dataclass(frozen=True)
 class ContinuousFrieze:
@@ -83,24 +86,28 @@ def frieze_genform(curve: ProjectiveCurve) -> ContinuousFrieze:
         return np.where(branches(x) % 2, -1.0, 1.0)
 
     def F(x, y):
-        return sigma(x) * sigma(y) * (f(y) - f(x)) / np.sqrt(f.d1(x) * f.d1(y))
+        (fx, px), (fy, py) = f.taylor(x, 1), f.taylor(y, 1)
+        return sigma(x) * sigma(y) * (fy - fx) / np.sqrt(px * py)
 
     def Fx(x, y):
-        root = np.sqrt(f.d1(x) * f.d1(y))
-        val = -f.d1(x) / root - 0.5 * (f(y) - f(x)) * f.d2(x) / (f.d1(x) * root)
+        (fx, px, qx), (fy, py) = f.taylor(x, 2), f.taylor(y, 1)
+        root = np.sqrt(px * py)
+        val = -px / root - 0.5 * (fy - fx) * qx / (px * root)
         return sigma(x) * sigma(y) * val
 
     def Fy(x, y):
-        root = np.sqrt(f.d1(x) * f.d1(y))
-        val = f.d1(y) / root - 0.5 * (f(y) - f(x)) * f.d2(y) / (f.d1(y) * root)
+        (fx, px), (fy, py, qy) = f.taylor(x, 1), f.taylor(y, 2)
+        root = np.sqrt(px * py)
+        val = py / root - 0.5 * (fy - fx) * qy / (py * root)
         return sigma(x) * sigma(y) * val
 
     def Fxy(x, y):
-        root = np.sqrt(f.d1(x) * f.d1(y))
+        (fx, px, qx), (fy, py, qy) = f.taylor(x, 2), f.taylor(y, 2)
+        root = np.sqrt(px * py)
         val = (
-            0.5 * f.d1(x) * f.d2(y) / (f.d1(y) * root)
-            - 0.5 * f.d1(y) * f.d2(x) / (f.d1(x) * root)
-            + 0.25 * (f(y) - f(x)) * f.d2(x) * f.d2(y) / (f.d1(x) * f.d1(y) * root)
+            0.5 * px * qy / (py * root)
+            - 0.5 * py * qx / (px * root)
+            + 0.25 * (fy - fx) * qx * qy / (px * py * root)
         )
         return sigma(x) * sigma(y) * val
 
@@ -146,8 +153,8 @@ def liouville_residual_field(
     second-order central differences with step h (with correspondingly
     degraded accuracy).
     """
-    if grid < 32:
-        raise ValueError("grid must be at least 32x32")
+    if grid < MIN_LIOUVILLE_GRID:
+        raise ValueError(f"grid must be at least {MIN_LIOUVILLE_GRID}x{MIN_LIOUVILLE_GRID}")
     X, Y = _grid(frieze, grid, domain)
     F = frieze.F
     if frieze.has_partials:

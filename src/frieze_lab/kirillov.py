@@ -57,9 +57,9 @@ def kirillov_form_fields_both(
     T = pot.period
     n = resolution(nodes)
     xs = periodic_nodes(T, n)
-    k, dk, Xv, X1, X3, Yv, Y1, Y2 = (
-        on_grid(fn, xs) for fn in (pot.hill_k, pot.hill_dk, X, X.d1, X.d3, Y, Y.d1, Y.d2)
-    )
+    k, dk = on_grid(pot.hill_k, xs), on_grid(pot.hill_dk, xs)
+    Xv, X1, _, X3 = X.taylor(xs, 3)
+    Yv, Y1, Y2 = Y.taylor(xs, 2)
     c = pot.c
     line1 = periodic_trapezoid(k * (Xv * Y1 - X1 * Yv), T) - c * periodic_trapezoid(
         X1 * Y2, T
@@ -85,10 +85,11 @@ def kirillov_form_curve(
     n = resolution(nodes)
     xs = periodic_nodes(T, n)
     f = curve.f
-    fp = on_grid(f.d1, xs)
+    fp = f.taylor(xs, 1)[1]
     if np.min(np.abs(fp)) < 1e-14:
         raise DerivativeVanishes("f' vanished at a quadrature node")
-    x1, x2, e1, e2 = (on_grid(fn, xs) for fn in (xi.d1, xi.d2, eta.d1, eta.d2))
+    _, x1, x2 = xi.taylor(xs, 2)
+    _, e1, e2 = eta.taylor(xs, 2)
     return -curve.c * periodic_trapezoid((x1 * e2 - x2 * e1) / fp**2, T)
 
 
@@ -98,8 +99,4 @@ def field_from_variation(curve: ProjectiveCurve, xi: SmoothFunction) -> SmoothFu
     Uses the curve's pole-safe 1/f' evaluators when available; the quotient
     fallback needs f'''' and is only conditioned away from poles of f.
     """
-    recip = curve.inv_d1
-    if recip is None:
-        recip = sf_reciprocal(sf_derivative(curve.f))
-    out = sf_product(xi, recip)
-    return SmoothFunction(out.value, out.d1, out.d2, out.d3, None, curve.period)
+    return sf_product(xi, curve.inv_d1 or sf_reciprocal(sf_derivative(curve.f)))

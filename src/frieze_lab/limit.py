@@ -116,21 +116,22 @@ def tangent_lift(curve: ProjectiveCurve, xi: SmoothFunction) -> TangentLiftCurve
     g1, g2, dg1, dg2 = lift.g1, lift.g2, lift.dg1, lift.dg2
 
     def x1(x):
-        return -0.5 * xi.d1(x) * g1(x) ** 3
+        return -0.5 * xi.taylor(x, 1)[1] * g1(x) ** 3
 
     def x2(x):
-        return xi(x) * g1(x) - 0.5 * xi.d1(x) * g1(x) ** 2 * g2(x)
+        v, v1 = xi.taylor(x, 1)
+        a = g1(x)
+        return v * a - 0.5 * v1 * a**2 * g2(x)
 
     def dx1(x):
-        return -0.5 * (xi.d2(x) * g1(x) ** 3 + 3.0 * xi.d1(x) * g1(x) ** 2 * dg1(x))
+        _, v1, v2 = xi.taylor(x, 2)
+        a = g1(x)
+        return -0.5 * (v2 * a**3 + 3.0 * v1 * a**2 * dg1(x))
 
     def dx2(x):
-        return (
-            xi.d1(x) * g1(x)
-            + xi(x) * dg1(x)
-            - 0.5 * xi.d2(x) * g1(x) ** 2 * g2(x)
-            - 0.5 * xi.d1(x) * (2.0 * g1(x) * dg1(x) * g2(x) + g1(x) ** 2 * dg2(x))
-        )
+        v, v1, v2 = xi.taylor(x, 2)
+        a, b, da = g1(x), g2(x), dg1(x)
+        return v1 * a + v * da - 0.5 * v2 * a**2 * b - 0.5 * v1 * (2.0 * a * da * b + a**2 * dg2(x))
 
     return TangentLiftCurve(x1=x1, x2=x2, dx1=dx1, dx2=dx2, period=curve.period)
 
@@ -144,13 +145,11 @@ def gauge_variation(curve: ProjectiveCurve, xi: SmoothFunction, x0: float = 0.0)
     integrand at the zero of Gamma_2 and matches the polygon gauge.
     """
     f = curve.f
-    fp0 = f.d1(x0)
-    beta = xi.d1(x0) / fp0
-    alpha = xi(x0) - beta * f(x0)
-    out = sf_combine(
-        [(1.0, xi), (-alpha, sf_const(1.0)), (-beta, f)], period=xi.period
-    )
-    return SmoothFunction(out.value, out.d1, out.d2, out.d3, None, xi.period)
+    f0, fp0 = f.taylor(x0, 1)
+    xi0, xi1 = xi.taylor(x0, 1)
+    beta = xi1 / fp0
+    alpha = xi0 - beta * f0
+    return sf_combine([(1.0, xi), (-alpha, sf_const(1.0)), (-beta, f)], period=xi.period)
 
 
 def _sl2_fit(v: tuple[float, float], w: tuple[float, float]) -> np.ndarray:

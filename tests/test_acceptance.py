@@ -220,8 +220,8 @@ def test_criterion_7_kirillov_consistency():
     cur = fl.tan_family(0.2, c=0.5)
     base = fl.kirillov_form_curve(cur, XI, ETA)
     wig = trig_poly(T, {1: (0.0, 0.1)})
-    phi = fl.SmoothFunction(
-        lambda x: x + wig.value(x), lambda x: 1.0 + wig.d1(x), wig.d2, wig.d3, None, T
+    phi = fl.from_derivatives(
+        lambda x: x + wig.value(x), lambda x: 1.0 + wig.d1(x), wig.d2, wig.d3, period=T
     )
     cur2 = fl.ProjectiveCurve(f=sf_compose(cur.f, phi), period=T, c=0.5)
     moved = fl.kirillov_form_curve(cur2, sf_compose(XI, phi), sf_compose(ETA, phi))

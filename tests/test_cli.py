@@ -291,3 +291,41 @@ def test_nodes_env_below_floor_exit_2(capsys, monkeypatch):
     code, out, err = run(capsys, "continuum", "kirillov")
     assert_json_error(code, out, err)
     assert "FRIEZE_LAB_NODES" in json.loads(out)["error"]
+
+
+def test_steps_only_on_hill(capsys):
+    for sub in ("frieze2d", "liouville", "curvature", "kirillov"):
+        code, out, err = run(capsys, "continuum", sub, "--steps", "128")
+        assert_json_error(code, out, err)
+        assert "--steps" in json.loads(out)["error"]
+
+
+def test_usage_errors_exit_2_with_json(capsys):
+    for argv in (
+        ("continuum", "hill", "--bogus"),
+        ("continuum", "hill", "--family", "cube"),
+        ("continuum", "frieze2d", "--grid", "x"),
+        ("frieze", "gen"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert_json_error(code, out, err)
+        assert err == ""
+    assert "--quiddity" in json.loads(run(capsys, "frieze", "gen")[1])["error"]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "frieze-lab" in capsys.readouterr().out
+
+
+def test_liouville_grid_floor(capsys):
+    from frieze_lab.continuous import MIN_LIOUVILLE_GRID
+
+    code, out, err = run(capsys, "continuum", "liouville", "--grid", "8")
+    assert_json_error(code, out, err)
+    assert "--grid" in json.loads(out)["error"]
+    code, out, _ = run(capsys, "continuum", "liouville", "--grid", str(MIN_LIOUVILLE_GRID))
+    assert code == 0
+    assert json.loads(out)["grid"] == MIN_LIOUVILLE_GRID

@@ -65,7 +65,7 @@ def test_genform_matches_lift_route():
 
 def test_genform_exp():
     # f = exp on a window: (e^y - e^x)/e^((x+y)/2) = 2 sinh((y-x)/2)
-    e = fl.SmoothFunction(math.exp, math.exp, math.exp, math.exp, math.exp, None)
+    e = fl.from_derivatives(math.exp, math.exp, math.exp, math.exp, math.exp)
     cur = fl.ProjectiveCurve(f=e, period=None, c=0.5)
     G = fl.frieze_genform(cur)
     for x, y in ((0.0, 1.0), (-0.5, 0.7), (0.2, 2.0)):
