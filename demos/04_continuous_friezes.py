@@ -51,8 +51,8 @@ ks2, _ = fl.curvature_conformal(lin, grid=16, domain=((0.0, 1.0), (1.5, 3.0)))
 print("  max |K + 1| for y - x (half-plane):", float(np.max(np.abs(ks2 + 1.0))))
 
 print("\nDropping the boundary conditions, two different curves still solve the PDE:")
-ga = fl.LiftedCurve(lambda x: x, lambda x: -1.0, lambda x: 1.0, lambda x: 0.0, lambda x: 0.0, None)
-gb = fl.LiftedCurve(lambda x: 1.0, lambda x: x, lambda x: 0.0, lambda x: 1.0, lambda x: 0.0, None)
+ga = fl.lift_from_components(lambda x: x, lambda x: -1.0, lambda x: 1.0, lambda x: 0.0, lambda x: 0.0, None)
+gb = fl.lift_from_components(lambda x: 1.0, lambda x: x, lambda x: 0.0, lambda x: 1.0, lambda x: 0.0, None)
 H = fl.frieze_from_curve(ga, gb)
 print("  F(x, y) = 1 + x y; residual:",
       fl.liouville_residual(H, grid=32, domain=((0.1, 2.0), (0.1, 2.0))))

@@ -40,6 +40,7 @@ from .curves import (
     curve_family,
     from_derivatives,
     lift_curve,
+    lift_from_components,
     linear_family,
     mobius_transform,
     schwarzian,

@@ -402,7 +402,7 @@ def main(argv=None) -> int:
         if args.group == "limit":
             return cmd_limit(args)
         raise AssertionError(args.group)
-    except (FriezeLabError, ValueError, ZeroDivisionError, OSError) as exc:
+    except (FriezeLabError, ValueError, ZeroDivisionError, OSError, MemoryError) as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
 
 

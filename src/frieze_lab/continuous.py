@@ -52,23 +52,20 @@ class ContinuousFrieze:
 
 def frieze_from_curve(lift: LiftedCurve, other: LiftedCurve | None = None) -> ContinuousFrieze:
     """F(x,y) = [Gamma(x), Gamma~(y)]; one curve gives the closed frieze."""
-    left = lift
-    right = other if other is not None else lift
+    left, right = lift, (lift if other is None else other)
 
-    def F(x, y):
-        return left.g1(x) * right.g2(y) - left.g2(x) * right.g1(y)
+    def bracket(i: int, j: int):
+        # [d^i Gamma(x), d^j Gamma~(y)] from row i of the left lift and row j of the right
+        def value(x, y):
+            u, v = left.taylor(x, i)[i], right.taylor(y, j)[j]
+            return u[0] * v[1] - u[1] * v[0]
 
-    def Fx(x, y):
-        return left.dg1(x) * right.g2(y) - left.dg2(x) * right.g1(y)
-
-    def Fy(x, y):
-        return left.g1(x) * right.dg2(y) - left.g2(x) * right.dg1(y)
-
-    def Fxy(x, y):
-        return left.dg1(x) * right.dg2(y) - left.dg2(x) * right.dg1(y)
+        return value
 
     period = lift.period if other is None else None
-    return ContinuousFrieze(F=F, Fx=Fx, Fy=Fy, Fxy=Fxy, period=period)
+    return ContinuousFrieze(
+        F=bracket(0, 0), Fx=bracket(1, 0), Fy=bracket(0, 1), Fxy=bracket(1, 1), period=period
+    )
 
 
 def frieze_genform(curve: ProjectiveCurve) -> ContinuousFrieze:
@@ -261,9 +258,12 @@ def curvature_conformal(
     as d/dx, d/dy (one quarter of the Laplacian after passing to real and
     imaginary parts), so K = -(2/lam) * d2(ln|lam|)/dxdy with lam = -4 F^{-2}.
     The mixed partial is taken by second-order central differences; K is -1
-    wherever F solves the Liouville identity.
+    wherever F solves the Liouville identity.  A step h that vanishes against
+    a grid coordinate (x + h == x) raises ValueError.
     """
     X, Y = _grid(frieze, grid, domain)
+    if np.any(X + h == X) or np.any(Y + h == Y):
+        raise ValueError(f"h = {h} is below the float spacing of the grid coordinates")
 
     def positive_F(x, y):
         val = on_grid(frieze.F, x, y)

@@ -26,7 +26,9 @@ A ``SmoothFunction`` is its Taylor evaluator: ``taylor(x, m)`` gives the value
 and the derivatives up to order m as one array, products, reciprocals and
 compositions apply the Leibniz, reciprocal and Faa di Bruno rules to those
 arrays, and a consumer asks once per grid for every order it needs.  Custom
-functions come from ``from_derivatives``; ``d1``...``d4`` are views.
+functions come from ``from_derivatives``; ``d1``...``d4`` are views.  A plane
+curve (the lift Gamma or a tangent lift) is a Taylor evaluator too, of shape
+``(m + 1, 2, *shape(x))``; custom lifts come from ``lift_from_components``.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ class SmoothFunction:
 
     taylor: Callable[[np.ndarray, int], np.ndarray]
     order: int
-    period: float | None = None
 
     def deriv(self, order: int, x):
         if order > self.order:
@@ -85,7 +86,7 @@ class SmoothFunction:
     d4 = partialmethod(deriv, 4)
 
 
-def from_derivatives(*fns: Callable, period: float | None = None) -> SmoothFunction:
+def from_derivatives(*fns: Callable) -> SmoothFunction:
     """Leaf from evaluators of the value, f', f'', ...; each returns one order.
 
     An evaluator whose value does not depend on x may return a scalar.
@@ -94,12 +95,12 @@ def from_derivatives(*fns: Callable, period: float | None = None) -> SmoothFunct
     def taylor(x, m):
         return np.array([np.broadcast_to(fn(x), np.shape(x)) for fn in fns[: m + 1]], dtype=float)
 
-    return SmoothFunction(taylor, len(fns) - 1, period)
+    return SmoothFunction(taylor, len(fns) - 1)
 
 
-def sf_const(c: float, period: float | None = None) -> SmoothFunction:
+def sf_const(c: float) -> SmoothFunction:
     zero = lambda x: 0.0
-    return from_derivatives(lambda x: c, zero, zero, zero, zero, period=period)
+    return from_derivatives(lambda x: c, zero, zero, zero, zero)
 
 
 def sf_identity() -> SmoothFunction:
@@ -107,13 +108,13 @@ def sf_identity() -> SmoothFunction:
     return from_derivatives(lambda x: x, lambda x: 1.0, zero, zero, zero)
 
 
-def sf_combine(terms: list[tuple[float, SmoothFunction]], period=None) -> SmoothFunction:
+def sf_combine(terms: list[tuple[float, SmoothFunction]]) -> SmoothFunction:
     """Linear combination sum_k coeff_k * f_k."""
 
     def taylor(x, m):
         return sum(c * f.taylor(x, m) for c, f in terms)
 
-    return SmoothFunction(taylor, min(f.order for _, f in terms), period)
+    return SmoothFunction(taylor, min(f.order for _, f in terms))
 
 
 def sf_product(a: SmoothFunction, b: SmoothFunction) -> SmoothFunction:
@@ -125,7 +126,7 @@ def sf_product(a: SmoothFunction, b: SmoothFunction) -> SmoothFunction:
             [sum(math.comb(k, j) * ta[j] * tb[k - j] for j in range(k, -1, -1)) for k in range(m + 1)]
         )
 
-    return SmoothFunction(taylor, min(a.order, b.order), a.period or b.period)
+    return SmoothFunction(taylor, min(a.order, b.order))
 
 
 def sf_reciprocal(b: SmoothFunction) -> SmoothFunction:
@@ -138,7 +139,7 @@ def sf_reciprocal(b: SmoothFunction) -> SmoothFunction:
             r.append(-sum(math.comb(k, j) * tb[j] * r[k - j] for j in range(1, k + 1)) / tb[0])
         return np.array(r)
 
-    return SmoothFunction(taylor, b.order, b.period)
+    return SmoothFunction(taylor, b.order)
 
 
 def sf_quotient(a: SmoothFunction, b: SmoothFunction) -> SmoothFunction:
@@ -167,12 +168,12 @@ def sf_compose(f: SmoothFunction, phi: SmoothFunction) -> SmoothFunction:
             rows.append(sum(tf[j] * bell[k][j] for j in range(k, 0, -1)))
         return np.array(rows)
 
-    return SmoothFunction(taylor, min(f.order, phi.order), phi.period)
+    return SmoothFunction(taylor, min(f.order, phi.order))
 
 
 def sf_derivative(f: SmoothFunction) -> SmoothFunction:
     """The derivative f' as a SmoothFunction (loses one derivative order)."""
-    return SmoothFunction(lambda x, m: f.taylor(x, m + 1)[1:], f.order - 1, f.period)
+    return SmoothFunction(lambda x, m: f.taylor(x, m + 1)[1:], f.order - 1)
 
 
 def trig_poly(period: float, harmonics: dict[int, tuple[float, float]]) -> SmoothFunction:
@@ -194,10 +195,10 @@ def trig_poly(period: float, harmonics: dict[int, tuple[float, float]]) -> Smoot
                 a, b = w * b, -w * a
         return np.array(rows, dtype=float)
 
-    return SmoothFunction(taylor, 4, period)
+    return SmoothFunction(taylor, 4)
 
 
-def from_callable(fn: Callable[[float], float], h: float = 1e-4, period=None) -> SmoothFunction:
+def from_callable(fn: Callable[[float], float], h: float = 1e-4) -> SmoothFunction:
     """Finite-difference fallback for user-supplied elementwise functions.
 
     Derivative accuracy degrades with order (h^2 truncation against 1/h^k
@@ -215,7 +216,7 @@ def from_callable(fn: Callable[[float], float], h: float = 1e-4, period=None) ->
             2 * h**3
         )
 
-    return from_derivatives(fn, d1, d2, d3, period=period)
+    return from_derivatives(fn, d1, d2, d3)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +247,8 @@ def mobius_transform(f: SmoothFunction, coeffs: tuple[float, float, float, float
     a, b, c, d = coeffs
     if a * d - b * c == 0:
         raise ValueError("singular coefficient matrix")
-    num = sf_combine([(a, f), (b, sf_const(1.0))], period=f.period)
-    den = sf_combine([(c, f), (d, sf_const(1.0))], period=f.period)
+    num = sf_combine([(a, f), (b, sf_const(1.0))])
+    den = sf_combine([(c, f), (d, sf_const(1.0))])
     return sf_quotient(num, den)
 
 
@@ -256,31 +257,54 @@ def mobius_transform(f: SmoothFunction, coeffs: tuple[float, float, float, float
 
 
 @dataclass(frozen=True)
-class LiftedCurve:
-    """Unit-bracket plane curve with derivative evaluators.
+class PlaneCurve:
+    """Plane curve given by its Taylor evaluator.
 
-    The components and kappa are elementwise in a float or an ndarray; a
-    constant one may return a scalar.  Second derivatives are recovered from
-    Gamma'' = kappa * Gamma, so a lift always carries its Hill potential in
-    curvature form.
+    ``taylor(x, m)`` for m in {0, 1} returns the curve and its derivative at a
+    float or an ndarray x as one array of shape ``(m + 1, 2, *shape(x))``;
+    entry ``[k, i]`` is the k-th derivative of component i + 1.
     """
 
-    g1: Callable[[float], float]
-    g2: Callable[[float], float]
-    dg1: Callable[[float], float]
-    dg2: Callable[[float], float]
+    taylor: Callable[[np.ndarray, int], np.ndarray]
+
+    def component(self, k: int, i: int, x):
+        return self.taylor(x, k)[k, i]
+
+
+@dataclass(frozen=True)
+class LiftedCurve(PlaneCurve):
+    """Unit-bracket plane curve Gamma, with Gamma'' = kappa * Gamma.
+
+    ``g1``, ``g2``, ``dg1`` and ``dg2`` are views of one row of ``taylor``;
+    kappa is elementwise and may return a scalar where it is constant.
+    """
+
     kappa: Callable[[float], float]
     period: float | None
 
-    def gamma(self, x: float) -> tuple[float, float]:
-        return self.g1(x), self.g2(x)
+    g1 = partialmethod(PlaneCurve.component, 0, 0)
+    g2 = partialmethod(PlaneCurve.component, 0, 1)
+    dg1 = partialmethod(PlaneCurve.component, 1, 0)
+    dg2 = partialmethod(PlaneCurve.component, 1, 1)
 
-    def dgamma(self, x: float) -> tuple[float, float]:
-        return self.dg1(x), self.dg2(x)
+    def gamma(self, x: float) -> tuple[float, float]:
+        return tuple(self.taylor(x, 0)[0])
 
     def d2gamma(self, x: float) -> tuple[float, float]:
-        k = self.kappa(x)
-        return k * self.g1(x), k * self.g2(x)
+        return tuple(self.kappa(x) * self.taylor(x, 0)[0])
+
+
+def lift_from_components(g1, g2, dg1, dg2, kappa, period: float | None = None) -> LiftedCurve:
+    """Lift from elementwise evaluators of Gamma_1, Gamma_2 and their derivatives.
+
+    A component that does not depend on x may return a scalar.
+    """
+    first, second = from_derivatives(g1, dg1), from_derivatives(g2, dg2)
+
+    def taylor(x, m):
+        return np.stack([first.taylor(x, m), second.taylor(x, m)], axis=1)
+
+    return LiftedCurve(taylor, kappa, period)
 
 
 @dataclass(frozen=True)
@@ -321,33 +345,24 @@ def lift_curve(curve: ProjectiveCurve) -> LiftedCurve:
         return curve.lift
     f = curve.f
 
-    def root(fp, x):
+    def taylor(x, m):
+        fv, fp, *f2 = f.taylor(x, m + 1)
         bad = fp < _DERIV_EPS
         if np.any(bad):
             raise DerivativeVanishes(f"f'({first_where(bad, x)[0]}) <= 0")
-        return fp**-0.5
-
-    def g1(x):
-        return root(f.taylor(x, 1)[1], x)
-
-    def g2(x):
-        fv, fp = f.taylor(x, 1)
-        return fv * root(fp, x)
-
-    def dg1(x):
-        _, fp, f2 = f.taylor(x, 2)
-        return -0.5 * f2 * fp**-1.5
-
-    def dg2(x):
-        fv, fp, f2 = f.taylor(x, 2)
-        return fp**0.5 + fv * (-0.5 * f2 * fp**-1.5)
+        root = fp**-0.5
+        rows = [[root, fv * root]]
+        if m >= 1:
+            d1 = -0.5 * f2[0] * fp**-1.5
+            rows.append([d1, fp**0.5 + fv * d1])
+        return np.array(rows)
 
     s = schwarzian(f)
 
     def kappa(x):
         return -0.5 * s(x)
 
-    return LiftedCurve(g1, g2, dg1, dg2, kappa, curve.period)
+    return LiftedCurve(taylor, kappa, curve.period)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +395,7 @@ def tan_family(s: float = 0.0, c: float = 0.5) -> ProjectiveCurve:
     def g4(x):
         return 16 * s * np.sin(2 * x)
 
-    g_sf = from_derivatives(g, g1, g2, g3, g4, period=T)
+    g_sf = from_derivatives(g, g1, g2, g3, g4)
 
     # derivatives of u = tan(g) through u' = g'(1 + u^2), orders 0..m
     def taylor(x, m):
@@ -405,24 +420,17 @@ def tan_family(s: float = 0.0, c: float = 0.5) -> ProjectiveCurve:
             )
         return np.array(p)
 
-    f = SmoothFunction(taylor, 4, T)
+    f = SmoothFunction(taylor, 4)
 
     # closed-form lift: branch-consistent and bounded through the poles of f
-    def l1(x):
-        return np.cos(g(x)) / np.sqrt(g1(x))
-
-    def l2(x):
-        return np.sin(g(x)) / np.sqrt(g1(x))
-
-    def dl1(x):
-        return -np.sin(g(x)) * np.sqrt(g1(x)) - 0.5 * np.cos(g(x)) * g2(x) * g1(
-            x
-        ) ** -1.5
-
-    def dl2(x):
-        return np.cos(g(x)) * np.sqrt(g1(x)) - 0.5 * np.sin(g(x)) * g2(x) * g1(
-            x
-        ) ** -1.5
+    def lift_taylor(x, m):
+        gs = g_sf.taylor(x, m + 1)
+        cos_g, sin_g, root = np.cos(gs[0]), np.sin(gs[0]), np.sqrt(gs[1])
+        rows = [[cos_g / root, sin_g / root]]
+        if m >= 1:
+            w = gs[1] ** -1.5
+            rows.append([-sin_g * root - 0.5 * cos_g * gs[2] * w, cos_g * root - 0.5 * sin_g * gs[2] * w])
+        return np.array(rows)
 
     def kappa(x):
         # S(tan(g)) = 2 g'^2 + S(g) by the cocycle rule, and kappa = -S(f)/2
@@ -442,7 +450,7 @@ def tan_family(s: float = 0.0, c: float = 0.5) -> ProjectiveCurve:
     cos_sq = trig_poly(math.pi, {0: (0.5, 0.0), 1: (0.5, 0.0)})  # cos^2 t
     inv_d1 = sf_product(sf_compose(cos_sq, g_sf), sf_reciprocal(sf_derivative(g_sf)))
 
-    lift = LiftedCurve(l1, l2, dl1, dl2, kappa, T)
+    lift = LiftedCurve(lift_taylor, kappa, T)
     return ProjectiveCurve(
         f=f,
         period=T,
@@ -459,14 +467,7 @@ def linear_family(c: float = 0.5) -> ProjectiveCurve:
     """f(x) = x: the open (non-closed) model curve with zero potential."""
     zero = lambda x: 0.0
     f = sf_identity()
-    lift = LiftedCurve(
-        g1=lambda x: 1.0,
-        g2=lambda x: x,
-        dg1=zero,
-        dg2=lambda x: 1.0,
-        kappa=zero,
-        period=None,
-    )
+    lift = lift_from_components(lambda x: 1.0, lambda x: x, zero, lambda x: 1.0, kappa=zero)
     return ProjectiveCurve(
         f=f, period=None, c=c, lift=lift, branch_count=lambda x: 0, dkappa=zero,
         family="linear",

@@ -7,9 +7,11 @@ Sampling a unit-determinant lift at n points with the 1/sqrt(step) weight,
 produces a polygon with consecutive brackets 1 + O(eps^2).  A variation xi of
 the underlying f lifts to a tangent curve along Gamma; sampled the same way
 and gauge-fixed to vanish at the distinguished vertex V_{n-1}, it feeds the
-geometric cluster-form sum.  Polygons and tangents are n x 2 arrays (row i is
-V_i or xi_i); the sum is one array expression over brackets against V_{n-1},
-and its end terms i = 0 and i = w are the boundary cells.  Its limit is
+geometric cluster-form sum.  The lift and its tangent are plane curves given
+by their Taylor evaluators (``curves.PlaneCurve``), so each is sampled with one
+call per grid.  Polygons and tangents are n x 2 arrays (row i is V_i or xi_i);
+the sum is one array expression over brackets against V_{n-1}, and its end
+terms i = 0 and i = w are the boundary cells.  Its limit is
 
     int_0^T (xi_2 eta_2' - xi_2' eta_2) / Gamma_2^2 dx
 
@@ -21,11 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partialmethod
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .curves import LiftedCurve, ProjectiveCurve, SmoothFunction, lift_curve, on_grid, sf_combine, sf_const
+from .curves import (
+    LiftedCurve, PlaneCurve, ProjectiveCurve, SmoothFunction, lift_curve, on_grid, sf_combine, sf_const,
+)
 from .exceptions import GaugeViolation, SecondComponentVanishes
 from .kirillov import kirillov_form_curve
 from .quadrature import periodic_nodes, periodic_trapezoid, resolution
@@ -48,15 +53,15 @@ class DiscretizationScheme:
         return self.period / self.n
 
 
-def _sampled(c1, c2, scheme: DiscretizationScheme) -> np.ndarray:
-    # eps^{-1/2} (c1, c2) at the vertices, as a 2 x n array
+def _sampled(curve: PlaneCurve, scheme: DiscretizationScheme) -> np.ndarray:
+    # eps^{-1/2} times the curve at the vertices, as a 2 x n array
     w, xs = scheme.eps**-0.5, periodic_nodes(scheme.period, scheme.n)
-    return np.array([w * on_grid(c1, xs), w * on_grid(c2, xs)])
+    return w * curve.taylor(xs, 0)[0]
 
 
 def sample_polygon(lift: LiftedCurve, scheme: DiscretizationScheme) -> np.ndarray:
     """The n x 2 array whose row i is V_i = eps^{-1/2} Gamma(i eps)."""
-    return _sampled(lift.g1, lift.g2, scheme).T
+    return _sampled(lift, scheme).T
 
 
 def unit_determinant_defect(polygon: Sequence[tuple[float, float]]) -> float:
@@ -95,45 +100,36 @@ def scaled_monodromy_defect(eq: DiscreteHillEquation, period: float) -> float:
 
 
 @dataclass(frozen=True)
-class TangentLiftCurve:
+class TangentLiftCurve(PlaneCurve):
     """Derivative of the canonical lift along a variation xi of f.
 
-    The component evaluators are elementwise in a float or an ndarray.
+    ``x1``, ``x2``, ``dx1`` and ``dx2`` are views of one row of ``taylor``.
     Components are expressed through the lift itself (x1 = -xi' g1^3 / 2,
     x2 = xi g1 - xi' g1^2 g2 / 2), which stays branch-consistent and bounded
     even where f blows up.
     """
 
-    x1: Callable[[float], float]
-    x2: Callable[[float], float]
-    dx1: Callable[[float], float]
-    dx2: Callable[[float], float]
-    period: float
+    x1 = partialmethod(PlaneCurve.component, 0, 0)
+    x2 = partialmethod(PlaneCurve.component, 0, 1)
+    dx1 = partialmethod(PlaneCurve.component, 1, 0)
+    dx2 = partialmethod(PlaneCurve.component, 1, 1)
 
 
 def tangent_lift(curve: ProjectiveCurve, xi: SmoothFunction) -> TangentLiftCurve:
     lift = lift_curve(curve)
-    g1, g2, dg1, dg2 = lift.g1, lift.g2, lift.dg1, lift.dg2
 
-    def x1(x):
-        return -0.5 * xi.taylor(x, 1)[1] * g1(x) ** 3
+    def taylor(x, m):
+        gam, t = lift.taylor(x, m), xi.taylor(x, m + 1)
+        (a, b), v, v1 = gam[0], t[0], t[1]
+        rows = [[-0.5 * v1 * a**3, v * a - 0.5 * v1 * a**2 * b]]
+        if m >= 1:
+            (da, db), v2 = gam[1], t[2]
+            dx1 = -0.5 * (v2 * a**3 + 3.0 * v1 * a**2 * da)
+            dx2 = v1 * a + v * da - 0.5 * v2 * a**2 * b - 0.5 * v1 * (2.0 * a * da * b + a**2 * db)
+            rows.append([dx1, dx2])
+        return np.array(rows)
 
-    def x2(x):
-        v, v1 = xi.taylor(x, 1)
-        a = g1(x)
-        return v * a - 0.5 * v1 * a**2 * g2(x)
-
-    def dx1(x):
-        _, v1, v2 = xi.taylor(x, 2)
-        a = g1(x)
-        return -0.5 * (v2 * a**3 + 3.0 * v1 * a**2 * dg1(x))
-
-    def dx2(x):
-        v, v1, v2 = xi.taylor(x, 2)
-        a, b, da = g1(x), g2(x), dg1(x)
-        return v1 * a + v * da - 0.5 * v2 * a**2 * b - 0.5 * v1 * (2.0 * a * da * b + a**2 * dg2(x))
-
-    return TangentLiftCurve(x1=x1, x2=x2, dx1=dx1, dx2=dx2, period=curve.period)
+    return TangentLiftCurve(taylor)
 
 
 def gauge_variation(curve: ProjectiveCurve, xi: SmoothFunction, x0: float = 0.0) -> SmoothFunction:
@@ -149,7 +145,7 @@ def gauge_variation(curve: ProjectiveCurve, xi: SmoothFunction, x0: float = 0.0)
     xi0, xi1 = xi.taylor(x0, 1)
     beta = xi1 / fp0
     alpha = xi0 - beta * f0
-    return sf_combine([(1.0, xi), (-alpha, sf_const(1.0)), (-beta, f)], period=xi.period)
+    return sf_combine([(1.0, xi), (-alpha, sf_const(1.0)), (-beta, f)])
 
 
 def _sl2_fit(v: tuple[float, float], w: tuple[float, float]) -> np.ndarray:
@@ -176,8 +172,8 @@ def lift_polygon_tangent(
     """
     tl = tangent_lift(curve, xi)
     lift = lift_curve(curve)
-    raw = _sampled(tl.x1, tl.x2, scheme)
-    verts = _sampled(lift.g1, lift.g2, scheme)
+    raw = _sampled(tl, scheme)
+    verts = _sampled(lift, scheme)
     m = _sl2_fit(verts[:, -1], raw[:, -1])
     out = raw - m @ verts
     # the last entry is zero by construction; clamp roundoff
@@ -233,10 +229,10 @@ def continuum_integral(
     T = lift.period
     n = resolution(nodes)
     xs = periodic_nodes(T, n, offset=0.5)
-    g2 = on_grid(lift.g2, xs)
+    g2 = lift.taylor(xs, 0)[0, 1]
     if np.min(np.abs(g2)) < 1e-10:
         raise SecondComponentVanishes("Gamma_2 ~ 0 at a quadrature node")
-    a, da, b, db = (on_grid(fn, xs) for fn in (txi.x2, txi.dx2, teta.x2, teta.dx2))
+    (a, da), (b, db) = txi.taylor(xs, 1)[:, 1], teta.taylor(xs, 1)[:, 1]
     return periodic_trapezoid((a * db - da * b) / g2**2, T)
 
 

@@ -125,8 +125,8 @@ def test_criterion_4_closed_form_friezes():
     dev = max(abs(Fz.F(float(x), float(x + u)) - math.sin(float(u))) for x in xs for u in us)
     assert dev < 1e-12
     # F = 1 + xy from the two-curve construction
-    ga = fl.LiftedCurve(lambda x: x, lambda x: -1.0, lambda x: 1.0, lambda x: 0.0, lambda x: 0.0, None)
-    gb = fl.LiftedCurve(lambda x: 1.0, lambda x: x, lambda x: 0.0, lambda x: 1.0, lambda x: 0.0, None)
+    ga = fl.lift_from_components(lambda x: x, lambda x: -1.0, lambda x: 1.0, lambda x: 0.0, lambda x: 0.0, None)
+    gb = fl.lift_from_components(lambda x: 1.0, lambda x: x, lambda x: 0.0, lambda x: 1.0, lambda x: 0.0, None)
     H = fl.frieze_from_curve(ga, gb)
     assert fl.liouville_residual(H, grid=32, domain=((0.1, 2.0), (0.1, 2.0))) < 1e-8
     # f = x: F = y - x with constant curvature -1
@@ -153,7 +153,7 @@ def test_criterion_4_power_family_literal():
     def kappa(x):
         return -t * (1 - t) / x**2
 
-    ga = fl.LiftedCurve(
+    ga = fl.lift_from_components(
         lambda x: x**t / r,
         lambda x: x ** (1 - t) / r,
         lambda x: t * x ** (t - 1) / r,
@@ -161,7 +161,7 @@ def test_criterion_4_power_family_literal():
         kappa,
         None,
     )
-    gb = fl.LiftedCurve(
+    gb = fl.lift_from_components(
         lambda y: -(y ** (1 - t)) / r,
         lambda y: y**t / r,
         lambda y: -(1 - t) * y ** (-t) / r,
@@ -221,7 +221,7 @@ def test_criterion_7_kirillov_consistency():
     base = fl.kirillov_form_curve(cur, XI, ETA)
     wig = trig_poly(T, {1: (0.0, 0.1)})
     phi = fl.from_derivatives(
-        lambda x: x + wig.value(x), lambda x: 1.0 + wig.d1(x), wig.d2, wig.d3, period=T
+        lambda x: x + wig.value(x), lambda x: 1.0 + wig.d1(x), wig.d2, wig.d3
     )
     cur2 = fl.ProjectiveCurve(f=sf_compose(cur.f, phi), period=T, c=0.5)
     moved = fl.kirillov_form_curve(cur2, sf_compose(XI, phi), sf_compose(ETA, phi))

@@ -329,3 +329,33 @@ def test_liouville_grid_floor(capsys):
     code, out, _ = run(capsys, "continuum", "liouville", "--grid", str(MIN_LIOUVILLE_GRID))
     assert code == 0
     assert json.loads(out)["grid"] == MIN_LIOUVILLE_GRID
+
+
+def test_curvature_h_below_float_spacing_exit_2(capsys):
+    # 1e-300 makes 4 h^2 underflow (K = NaN); 1e-17 leaves x + h == x (K = 0)
+    for h in ("1e-300", "1e-17"):
+        code, out, err = run(capsys, "continuum", "curvature", "--grid", "16", "--h", h)
+        assert_json_error(code, out, err)
+        assert "h = " in json.loads(out)["error"]
+        assert err == ""
+
+
+def test_curvature_default_h_output_unchanged(capsys):
+    code, out, _ = run(capsys, "continuum", "curvature", "--grid", "16")
+    assert code == 0
+    assert run(capsys, "continuum", "curvature", "--grid", "16", "--h", "1e-3")[1] == out
+    doc = json.loads(out)
+    assert doc["grid"] == 16
+    assert math.isclose(doc["max_abs_K_plus_1"], 5.121850230693781e-05, rel_tol=1e-9)
+
+
+def test_memory_error_exit_2(capsys, monkeypatch):
+    from frieze_lab import cli
+
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate the grid")
+
+    monkeypatch.setattr(cli, "curvature_conformal", too_big)
+    code, out, err = run(capsys, "continuum", "curvature", "--grid", "100000000")
+    assert_json_error(code, out, err)
+    assert json.loads(out)["error"].startswith("MemoryError")

@@ -24,12 +24,12 @@ def test_round_curve_gives_sine():
 def test_two_curve_frieze_one_plus_xy():
     # Gamma = (x, -1), Gamma~ = (1, y): both have unit bracket with their
     # derivative, and the mixed bracket is 1 + xy
-    ga = fl.LiftedCurve(
+    ga = fl.lift_from_components(
         g1=lambda x: x, g2=lambda x: -1.0,
         dg1=lambda x: 1.0, dg2=lambda x: 0.0,
         kappa=lambda x: 0.0, period=None,
     )
-    gb = fl.LiftedCurve(
+    gb = fl.lift_from_components(
         g1=lambda x: 1.0, g2=lambda x: x,
         dg1=lambda x: 0.0, dg2=lambda x: 1.0,
         kappa=lambda x: 0.0, period=None,

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction as Fr
 
@@ -257,3 +259,52 @@ def test_property_mutations_preserve_frieze(vals, rng):
         assert fl.elementary_mutation(m, p) == z
         assert fl.zigzag_to_frieze(m) == f
         z = m
+
+
+def triangulations(verts):
+    """Every triangulation of the convex polygon on ``verts``, as lists of triangles.
+
+    The edge from the first to the last vertex lies in exactly one triangle;
+    its apex splits the rest into two smaller polygons.
+    """
+    if len(verts) < 3:
+        yield []
+        return
+    for k in range(1, len(verts) - 1):
+        for left in triangulations(verts[: k + 1]):
+            for right in triangulations(verts[k:]):
+                yield [(verts[0], verts[k], verts[-1]), *left, *right]
+
+
+def triangle_counts(n, triangles):
+    q = [0] * n
+    for t in triangles:
+        for v in t:
+            q[v] += 1
+    return tuple(q)
+
+
+@pytest.mark.parametrize("w", range(7))
+def test_conway_coxeter_oracle(w):
+    # Conway-Coxeter (1973): the triangle counts of the triangulations of the
+    # (w+3)-gon are the quiddities of the positive integer friezes of width w
+    n = w + 3
+    quiddities = [triangle_counts(n, t) for t in triangulations(list(range(n)))]
+    friezes = [fl.propagate_from_quiddity(q) for q in quiddities]
+    catalan = math.comb(2 * (w + 1), w + 1) // (w + 2)
+    assert len(set(quiddities)) == catalan
+    assert len({f.rows for f in friezes}) == catalan
+    paths = list(itertools.product((SE, SW), repeat=max(w - 1, 0)))
+    for k, (q, f) in enumerate(zip(quiddities, friezes)):
+        assert f.width == w and f.quiddity == q
+        for r in range(0, w + 2):
+            assert all(x.denominator == 1 and x > 0 for x in f.rows[r + 1])
+        assert f.is_valid()
+        assert all(
+            f.entry(r, j) == f.entry(*f.glide_partner(r, j)) for r in range(0, w + 2) for j in range(n)
+        )
+        # one round trip of each kind per frieze, cycling through bases and paths
+        base = k % n
+        assert fl.diagonal_to_frieze(f.diagonal(base).values, base=base) == f
+        path = fl.ZigzagPath(start=k % n, moves=paths[k % len(paths)], width=w)
+        assert fl.zigzag_to_frieze(fl.read_zigzag(f, path)) == f

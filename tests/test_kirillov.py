@@ -86,7 +86,7 @@ def test_curve_form_reparameterization_invariance():
     # substitute x -> x + 0.1 sin 2x in the curve and both variations
     wig = trig_poly(T, {1: (0.0, 0.1)})
     phi = fl.from_derivatives(
-        lambda x: x + wig.value(x), lambda x: 1.0 + wig.d1(x), wig.d2, wig.d3, period=T
+        lambda x: x + wig.value(x), lambda x: 1.0 + wig.d1(x), wig.d2, wig.d3
     )
     f2 = sf_compose(cur.f, phi)
     cur2 = fl.ProjectiveCurve(f=f2, period=T, c=cur.c)

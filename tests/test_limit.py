@@ -252,7 +252,7 @@ def test_scheme_minimum_size():
 def test_second_component_vanishes_guard():
     lift = fl.lift_curve(fl.linear_family())
     # Gamma_2 = x vanishes near the first midpoint node when the period is big
-    deg = fl.LiftedCurve(
+    deg = fl.lift_from_components(
         g1=lift.g1, g2=lambda x: 0.0, dg1=lift.dg1, dg2=lambda x: 0.0,
         kappa=lift.kappa, period=T,
     )

@@ -127,3 +127,81 @@ def test_kirillov_fields_evaluate_each_node_once(monkeypatch):
     fl.kirillov_form_fields_both(pot, X, Y, nodes=4096)
     monkeypatch.undo()
     assert 0 < len(calls) <= 60
+
+
+def count_trig_calls(monkeypatch, fn) -> int:
+    calls = []
+    for name in ("cos", "sin", "tan"):
+        ufunc = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _u=ufunc, **kw: calls.append(1) or _u(*a, **kw))
+    fn()
+    monkeypatch.undo()
+    return len(calls)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3, -0.45])
+def test_tan_lift_taylor_matches_closed_formulas(s):
+    # Gamma = (cos g, sin g) / sqrt(g') with g = x + s sin 2x, bit for bit
+    x = PTS / 2.0
+    g = x + s * np.sin(2 * x)
+    g1 = 1 + 2 * s * np.cos(2 * x)
+    g2 = -4 * s * np.sin(2 * x)
+    l1 = np.cos(g) / np.sqrt(g1)
+    l2 = np.sin(g) / np.sqrt(g1)
+    dl1 = -np.sin(g) * np.sqrt(g1) - 0.5 * np.cos(g) * g2 * g1**-1.5
+    dl2 = np.cos(g) * np.sqrt(g1) - 0.5 * np.sin(g) * g2 * g1**-1.5
+    lift = fl.lift_curve(fl.tan_family(s))
+    got = lift.taylor(x, 1)
+    assert got.shape == (2, 2, 64)
+    assert np.array_equal(got, np.array([[l1, l2], [dl1, dl2]]))
+    assert np.array_equal(lift.taylor(x, 0), got[:1])
+    views = (lift.g1, lift.g2, lift.dg1, lift.dg2)
+    for view, ref in zip(views, (l1, l2, dl1, dl2)):
+        assert np.array_equal(view(x), ref)
+
+
+@pytest.mark.parametrize("family", ["tan", "linear"])
+def test_tangent_lift_taylor_matches_component_formulas(family):
+    cur = fl.curve_family(family, s=0.3)
+    lift = fl.lift_curve(cur)
+    xi = trig_poly(math.pi, {0: (0.25, 0.0), 1: (0.0, 0.5), 2: (-0.25, 0.0)})
+    x = PTS / 2.0
+    a, b, da, db = (view(x) for view in (lift.g1, lift.g2, lift.dg1, lift.dg2))
+    v, v1, v2 = xi.taylor(x, 2)
+    ref = np.array(
+        [
+            [-0.5 * v1 * a**3, v * a - 0.5 * v1 * a**2 * b],
+            [
+                -0.5 * (v2 * a**3 + 3.0 * v1 * a**2 * da),
+                v1 * a + v * da - 0.5 * v2 * a**2 * b - 0.5 * v1 * (2.0 * a * da * b + a**2 * db),
+            ],
+        ]
+    )
+    tl = fl.tangent_lift(cur, xi)
+    assert_rows_close(tl.taylor(x, 1), ref, tol=1e-14)
+    assert_rows_close(tl.taylor(x, 0), ref[:1], tol=1e-14)
+    for view, row in zip((tl.x1, tl.x2, tl.dx1, tl.dx2), ref.reshape(4, -1)):
+        assert_rows_close(view(x), row, tol=1e-14)
+
+
+def test_lift_from_components_broadcasts_constants():
+    lift = fl.lift_from_components(lambda x: 1.0, lambda x: x, lambda x: 0.0, lambda x: 1.0, lambda x: 0.0)
+    grid = PTS.reshape(8, 8)
+    got = lift.taylor(grid, 1)
+    assert got.shape == (2, 2, 8, 8)
+    assert np.array_equal(got[0, 0], np.ones((8, 8))) and np.array_equal(got[0, 1], grid)
+    assert np.array_equal(got[1], np.stack([np.zeros((8, 8)), np.ones((8, 8))]))
+    assert lift.taylor(0.5, 0).shape == (1, 2)
+    assert lift.gamma(3.5) == (1.0, 3.5) and lift.period is None
+
+
+def test_lift_polygon_tangent_trig_calls(monkeypatch):
+    cur = fl.tan_family(0.2, c=0.5)
+    xi = fl.gauge_variation(cur, trig_poly(math.pi, {0: (0.25, 0.0), 1: (0.0, 0.5), 2: (-0.25, 0.0)}))
+    scheme = fl.DiscretizationScheme(n=400, period=math.pi)
+    assert 0 < count_trig_calls(monkeypatch, lambda: fl.lift_polygon_tangent(cur, xi, scheme)) <= 20
+
+
+def test_liouville_field_trig_calls(monkeypatch):
+    frieze = fl.frieze_from_curve(fl.lift_curve(fl.tan_family(0.2, c=0.5)))
+    assert 0 < count_trig_calls(monkeypatch, lambda: fl.liouville_residual_field(frieze, grid=128)) <= 40
