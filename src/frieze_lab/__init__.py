@@ -27,6 +27,7 @@ from .continuous import (
     ContinuousFrieze,
     boundary_check,
     curvature_conformal,
+    frieze_from_components,
     frieze_from_curve,
     frieze_genform,
     liouville_residual,

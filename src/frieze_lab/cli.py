@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -28,11 +29,9 @@ from . import serialize
 from .cluster import omega_rank
 from .continuous import (
     MIN_LIOUVILLE_GRID,
-    boundary_check,
     curvature_conformal,
     frieze_from_curve,
     liouville_residual_field,
-    potential_from_frieze,
 )
 from .curves import curve_family, lift_curve, on_grid, trig_poly
 from .exceptions import FriezeLabError
@@ -263,31 +262,11 @@ def cmd_limit(args) -> int:
     eta = _variation(args.eta)
     report = convergence_study(curve, xi, eta, n_list, nodes=args.nodes)
 
-    rows = [
-        (
-            r["n"],
-            r["discrete"],
-            r["integral"],
-            r["kirillov_scaled"],
-            r["err_integral"],
-            r["err_kirillov"],
-            r["observed_order"],
-        )
-        for r in report.rows()
-    ]
     if args.format == "csv":
-        text = csv_string(
-            (
-                "n",
-                "discrete",
-                "integral",
-                "kirillov_scaled",
-                "err_integral",
-                "err_kirillov",
-                "observed_order",
-            ),
-            rows,
+        columns = (
+            "n", "discrete", "integral", "kirillov_scaled", "err_integral", "err_kirillov", "observed_order",
         )
+        text = csv_string(columns, [tuple(r[k] for k in columns) for r in report.rows()])
     else:
         text = dumps(
             {
@@ -316,7 +295,14 @@ def cmd_limit(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as ValueError, so main answers it like any bad input."""
+    """Reports a usage error as ValueError, so main answers it like any bad input.
+
+    A negative number in exponent notation (-1.5e-05) is a value, not an option.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise ValueError(message)

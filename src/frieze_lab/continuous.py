@@ -11,11 +11,16 @@ unit-determinant lift, F(x,y) = [Gamma(x), Gamma(y)], equivalently as
 with a branch-consistent square root.  The conformal metric -4 F^{-2} dz dzbar
 in the two frieze variables has constant curvature -1 exactly when the
 Liouville identity holds.
+
+A ``ContinuousFrieze`` is its Taylor evaluator: one array per grid holds F and
+its partials; from a lift, entry [i, j] brackets Taylor row i of Gamma(x) with
+row j of Gamma~(y).  Custom friezes come from ``frieze_from_components``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partialmethod
 from typing import Callable
 
 import numpy as np
@@ -33,39 +38,55 @@ MIN_LIOUVILLE_GRID = 32
 
 @dataclass(frozen=True)
 class ContinuousFrieze:
-    """Two-variable frieze function with optional analytic partials.
+    """Two-variable frieze function given by its Taylor evaluator.
 
-    F, Fx, Fy and Fxy are elementwise in floats or broadcastable ndarrays x
-    and y; a constant one may return a scalar.
+    ``taylor(x, y, m)`` for m <= ``order`` <= 1 takes floats or broadcastable
+    ndarrays and returns one array of shape ``(m + 1, m + 1, *broadcast_shape)``
+    whose entry ``[i, j]`` is d_x^i d_y^j F; ``F``, ``Fx``, ``Fy`` and ``Fxy``
+    are views of one entry.  Consumers difference an order-0 frieze.
     """
 
-    F: Callable[[float, float], float]
-    Fx: Callable[[float, float], float] | None = None
-    Fy: Callable[[float, float], float] | None = None
-    Fxy: Callable[[float, float], float] | None = None
-    period: float | None = None
+    taylor: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
+    order: int
+    period: float | None
 
-    @property
-    def has_partials(self) -> bool:
-        return self.Fx is not None and self.Fy is not None and self.Fxy is not None
+    def partial(self, i: int, j: int, x, y):
+        if max(i, j) > self.order:
+            raise ValueError(f"partial of order ({i}, {j}) not available")
+        return self.taylor(x, y, max(i, j))[i, j]
+
+    F = partialmethod(partial, 0, 0)
+    Fx = partialmethod(partial, 1, 0)
+    Fy = partialmethod(partial, 0, 1)
+    Fxy = partialmethod(partial, 1, 1)
+
+
+def frieze_from_components(F, Fx=None, Fy=None, Fxy=None, period: float | None = None) -> ContinuousFrieze:
+    """Frieze from elementwise evaluators, of order 1 if F_x, F_y and F_xy are all given.
+
+    An evaluator whose value does not depend on (x, y) may return a scalar.
+    """
+
+    def taylor(x, y, m):
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        fns = ((F, Fy), (Fx, Fxy))[: m + 1]
+        return np.array([[np.broadcast_to(fn(x, y), shape) for fn in row[: m + 1]] for row in fns], dtype=float)
+
+    return ContinuousFrieze(taylor, 0 if None in (Fx, Fy, Fxy) else 1, period)
 
 
 def frieze_from_curve(lift: LiftedCurve, other: LiftedCurve | None = None) -> ContinuousFrieze:
     """F(x,y) = [Gamma(x), Gamma~(y)]; one curve gives the closed frieze."""
     left, right = lift, (lift if other is None else other)
 
-    def bracket(i: int, j: int):
-        # [d^i Gamma(x), d^j Gamma~(y)] from row i of the left lift and row j of the right
-        def value(x, y):
-            u, v = left.taylor(x, i)[i], right.taylor(y, j)[j]
-            return u[0] * v[1] - u[1] * v[0]
+    def taylor(x, y, m):
+        # leading unit axes keep each lift on its own grid and align the two
+        nd = max(np.ndim(x), np.ndim(y))
+        u = left.taylor(np.reshape(x, (1,) * (nd - np.ndim(x)) + np.shape(x)), m)[:, None]
+        v = right.taylor(np.reshape(y, (1,) * (nd - np.ndim(y)) + np.shape(y)), m)[None, :]
+        return u[:, :, 0] * v[:, :, 1] - u[:, :, 1] * v[:, :, 0]
 
-        return value
-
-    period = lift.period if other is None else None
-    return ContinuousFrieze(
-        F=bracket(0, 0), Fx=bracket(1, 0), Fy=bracket(0, 1), Fxy=bracket(1, 1), period=period
-    )
+    return ContinuousFrieze(taylor, 1, lift.period if other is None else None)
 
 
 def frieze_genform(curve: ProjectiveCurve) -> ContinuousFrieze:
@@ -82,33 +103,24 @@ def frieze_genform(curve: ProjectiveCurve) -> ContinuousFrieze:
     def sigma(x):
         return np.where(branches(x) % 2, -1.0, 1.0)
 
-    def F(x, y):
-        (fx, px), (fy, py) = f.taylor(x, 1), f.taylor(y, 1)
-        return sigma(x) * sigma(y) * (fy - fx) / np.sqrt(px * py)
-
-    def Fx(x, y):
-        (fx, px, qx), (fy, py) = f.taylor(x, 2), f.taylor(y, 1)
+    def taylor(x, y, m):
+        tx, ty = f.taylor(x, m + 1), f.taylor(y, m + 1)
+        (fx, px), (fy, py) = tx[:2], ty[:2]
+        sign = sigma(x) * sigma(y)
         root = np.sqrt(px * py)
-        val = -px / root - 0.5 * (fy - fx) * qx / (px * root)
-        return sigma(x) * sigma(y) * val
+        rows = [[sign * (fy - fx) / root]]
+        if m >= 1:
+            qx, qy = tx[2], ty[2]
+            rows[0].append(sign * (py / root - 0.5 * (fy - fx) * qy / (py * root)))
+            fxy = (
+                0.5 * px * qy / (py * root)
+                - 0.5 * py * qx / (px * root)
+                + 0.25 * (fy - fx) * qx * qy / (px * py * root)
+            )
+            rows.append([sign * (-px / root - 0.5 * (fy - fx) * qx / (px * root)), sign * fxy])
+        return np.array(rows)
 
-    def Fy(x, y):
-        (fx, px), (fy, py, qy) = f.taylor(x, 1), f.taylor(y, 2)
-        root = np.sqrt(px * py)
-        val = py / root - 0.5 * (fy - fx) * qy / (py * root)
-        return sigma(x) * sigma(y) * val
-
-    def Fxy(x, y):
-        (fx, px, qx), (fy, py, qy) = f.taylor(x, 2), f.taylor(y, 2)
-        root = np.sqrt(px * py)
-        val = (
-            0.5 * px * qy / (py * root)
-            - 0.5 * py * qx / (px * root)
-            + 0.25 * (fy - fx) * qx * qy / (px * py * root)
-        )
-        return sigma(x) * sigma(y) * val
-
-    return ContinuousFrieze(F=F, Fx=Fx, Fy=Fy, Fxy=Fxy, period=curve.period)
+    return ContinuousFrieze(taylor, 1, curve.period)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +145,16 @@ def _grid(frieze: ContinuousFrieze, n: int, domain: Domain | None) -> tuple[np.n
     return xs[:, None], xs[:, None] + us
 
 
+def _partials(frieze: ContinuousFrieze, x, y, h: float):
+    """((F, F_y), (F_x, F_xy)) on a grid: one Taylor call, or central differences with step h at order 0."""
+    if frieze.order >= 1:
+        return frieze.taylor(x, y, 1)
+    F = frieze.F
+    fx = (on_grid(F, x + h, y) - on_grid(F, x - h, y)) / (2 * h)
+    fy = (on_grid(F, x, y + h) - on_grid(F, x, y - h)) / (2 * h)
+    return (on_grid(F, x, y), fy), (fx, mixed_partial(F, x, y, h))
+
+
 def _points(X: np.ndarray, Y: np.ndarray) -> list[tuple[float, float]]:
     X, Y = np.broadcast_arrays(X, Y)
     return list(zip(X.ravel().tolist(), Y.ravel().tolist()))
@@ -146,21 +168,15 @@ def liouville_residual_field(
 ) -> tuple[np.ndarray, list[tuple[float, float]]]:
     """Pointwise |F F_xy - F_x F_y - 1| over the evaluation grid.
 
-    Analytic partials are used when the frieze carries them; otherwise
-    second-order central differences with step h (with correspondingly
-    degraded accuracy).
+    A frieze of order 1 gives F and its partials in one Taylor call; one of
+    order 0 gets second-order central differences with step h (with
+    correspondingly degraded accuracy).
     """
     if grid < MIN_LIOUVILLE_GRID:
         raise ValueError(f"grid must be at least {MIN_LIOUVILLE_GRID}x{MIN_LIOUVILLE_GRID}")
     X, Y = _grid(frieze, grid, domain)
-    F = frieze.F
-    if frieze.has_partials:
-        fx, fy, fxy = (on_grid(d, X, Y) for d in (frieze.Fx, frieze.Fy, frieze.Fxy))
-    else:
-        fx = (on_grid(F, X + h, Y) - on_grid(F, X - h, Y)) / (2 * h)
-        fy = (on_grid(F, X, Y + h) - on_grid(F, X, Y - h)) / (2 * h)
-        fxy = mixed_partial(F, X, Y, h)
-    vals = np.abs(on_grid(F, X, Y) * fxy - fx * fy - 1.0)
+    (f, fy), (fx, fxy) = _partials(frieze, X, Y, h)
+    vals = np.abs(f * fxy - fx * fy - 1.0)
     return vals.ravel(), _points(X, Y)
 
 
@@ -179,17 +195,11 @@ def boundary_check(frieze: ContinuousFrieze, T: float, grid: int = 256) -> dict:
     """Residuals of the closure conditions along the diagonal and the period."""
     xs = (np.arange(grid) + 0.5) * (2.0 * T / grid)
     us = np.linspace(T / 8.0, T - T / 8.0, 17)
-    F = frieze.F
-    if frieze.has_partials:
-        fx, fy = on_grid(frieze.Fx, xs, xs), on_grid(frieze.Fy, xs, xs)
-    else:
-        h = 1e-5
-        fy = (on_grid(F, xs, xs + h) - on_grid(F, xs, xs - h)) / (2 * h)
-        fx = (on_grid(F, xs + h, xs) - on_grid(F, xs - h, xs)) / (2 * h)
+    (diag, fy), (fx, _) = _partials(frieze, xs, xs, 1e-5)
     x = xs[: grid // 2, None]
-    anti = on_grid(F, x + T, x + us) + on_grid(F, x, x + us)
+    anti = on_grid(frieze.F, x + T, x + us) + on_grid(frieze.F, x, x + us)
     return {
-        "diagonal_zero": float(np.max(np.abs(on_grid(F, xs, xs)))),
+        "diagonal_zero": float(np.max(np.abs(diag))),
         "unit_slope": float(np.max(np.abs(fy - 1.0))),
         "unit_slope_x": float(np.max(np.abs(fx + 1.0))),
         "antiperiodicity": float(np.max(np.abs(anti))),

@@ -8,10 +8,11 @@ produces a polygon with consecutive brackets 1 + O(eps^2).  A variation xi of
 the underlying f lifts to a tangent curve along Gamma; sampled the same way
 and gauge-fixed to vanish at the distinguished vertex V_{n-1}, it feeds the
 geometric cluster-form sum.  The lift and its tangent are plane curves given
-by their Taylor evaluators (``curves.PlaneCurve``), so each is sampled with one
-call per grid.  Polygons and tangents are n x 2 arrays (row i is V_i or xi_i);
-the sum is one array expression over brackets against V_{n-1}, and its end
-terms i = 0 and i = w are the boundary cells.  Its limit is
+by their Taylor evaluators (``curves.PlaneCurve``); one lift call per grid
+gives the polygon and, with xi's rows, each tangent.  Polygons and tangents
+are n x 2 arrays (row i is V_i or xi_i); the sum is one array expression over
+brackets against V_{n-1}, and its end terms i = 0 and i = w are the boundary
+cells.  Its limit is
 
     int_0^T (xi_2 eta_2' - xi_2' eta_2) / Gamma_2^2 dx
 
@@ -53,15 +54,9 @@ class DiscretizationScheme:
         return self.period / self.n
 
 
-def _sampled(curve: PlaneCurve, scheme: DiscretizationScheme) -> np.ndarray:
-    # eps^{-1/2} times the curve at the vertices, as a 2 x n array
-    w, xs = scheme.eps**-0.5, periodic_nodes(scheme.period, scheme.n)
-    return w * curve.taylor(xs, 0)[0]
-
-
 def sample_polygon(lift: LiftedCurve, scheme: DiscretizationScheme) -> np.ndarray:
     """The n x 2 array whose row i is V_i = eps^{-1/2} Gamma(i eps)."""
-    return _sampled(lift, scheme).T
+    return _sample(lift, scheme)[0]
 
 
 def unit_determinant_defect(polygon: Sequence[tuple[float, float]]) -> float:
@@ -115,21 +110,21 @@ class TangentLiftCurve(PlaneCurve):
     dx2 = partialmethod(PlaneCurve.component, 1, 1)
 
 
+def _tangent_rows(gam: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Tangent-lift rows 0..m from the lift's rows 0..m and xi's rows 0..m+1."""
+    (a, b), v, v1 = gam[0], t[0], t[1]
+    rows = [[-0.5 * v1 * a**3, v * a - 0.5 * v1 * a**2 * b]]
+    if len(gam) > 1:
+        (da, db), v2 = gam[1], t[2]
+        dx1 = -0.5 * (v2 * a**3 + 3.0 * v1 * a**2 * da)
+        dx2 = v1 * a + v * da - 0.5 * v2 * a**2 * b - 0.5 * v1 * (2.0 * a * da * b + a**2 * db)
+        rows.append([dx1, dx2])
+    return np.array(rows)
+
+
 def tangent_lift(curve: ProjectiveCurve, xi: SmoothFunction) -> TangentLiftCurve:
     lift = lift_curve(curve)
-
-    def taylor(x, m):
-        gam, t = lift.taylor(x, m), xi.taylor(x, m + 1)
-        (a, b), v, v1 = gam[0], t[0], t[1]
-        rows = [[-0.5 * v1 * a**3, v * a - 0.5 * v1 * a**2 * b]]
-        if m >= 1:
-            (da, db), v2 = gam[1], t[2]
-            dx1 = -0.5 * (v2 * a**3 + 3.0 * v1 * a**2 * da)
-            dx2 = v1 * a + v * da - 0.5 * v2 * a**2 * b - 0.5 * v1 * (2.0 * a * da * b + a**2 * db)
-            rows.append([dx1, dx2])
-        return np.array(rows)
-
-    return TangentLiftCurve(taylor)
+    return TangentLiftCurve(lambda x, m: _tangent_rows(lift.taylor(x, m), xi.taylor(x, m + 1)))
 
 
 def gauge_variation(curve: ProjectiveCurve, xi: SmoothFunction, x0: float = 0.0) -> SmoothFunction:
@@ -170,15 +165,22 @@ def lift_polygon_tangent(
     constraint identically and change no frieze data, so this is a pure gauge
     choice.
     """
-    tl = tangent_lift(curve, xi)
-    lift = lift_curve(curve)
-    raw = _sampled(tl, scheme)
-    verts = _sampled(lift, scheme)
-    m = _sl2_fit(verts[:, -1], raw[:, -1])
-    out = raw - m @ verts
-    # the last entry is zero by construction; clamp roundoff
-    out[:, -1] = 0.0
-    return out.T
+    return _sample(lift_curve(curve), scheme, xi)[1]
+
+
+def _sample(lift: LiftedCurve, scheme: DiscretizationScheme, *xis: SmoothFunction) -> list[np.ndarray]:
+    """The polygon and the gauged tangent of each xi (n x 2 arrays) from one lift call."""
+    w, xs = scheme.eps**-0.5, periodic_nodes(scheme.period, scheme.n)
+    gam = lift.taylor(xs, 0)
+    verts = w * gam[0]
+    out = [verts.T]
+    for xi in xis:
+        raw = w * _tangent_rows(gam, xi.taylor(xs, 1))[0]
+        tangent = raw - _sl2_fit(verts[:, -1], raw[:, -1]) @ verts
+        # the last entry is zero by construction; clamp roundoff
+        tangent[:, -1] = 0.0
+        out.append(tangent.T)
+    return out
 
 
 def constraint_defect(
@@ -317,10 +319,9 @@ def convergence_study(
     records = []
     for n in ns:
         scheme = DiscretizationScheme(n=n, period=curve.period)
-        polygon = sample_polygon(lift, scheme)
-        pxi = lift_polygon_tangent(curve, xi_g, scheme)
-        peta = lift_polygon_tangent(curve, eta_g, scheme)
-        disc = discrete_form_value(polygon, pxi, peta)
+        polygon, pxi, peta = _sample(lift, scheme, xi_g, eta_g)
+        terms = _cell_terms(polygon, pxi, peta)
+        disc = float(np.sum(terms[1:-1]))
         records.append(
             ConvergenceRecord(
                 n=n,
@@ -328,7 +329,7 @@ def convergence_study(
                 err_integral=abs(disc - integral),
                 err_kirillov=abs(disc - scaled),
                 det_defect=unit_determinant_defect(polygon),
-                boundary_cells=boundary_cells_value(polygon, pxi, peta),
+                boundary_cells=float(terms[0] + terms[-1]),
             )
         )
     return ConvergenceReport(

@@ -359,3 +359,12 @@ def test_memory_error_exit_2(capsys, monkeypatch):
     code, out, err = run(capsys, "continuum", "curvature", "--grid", "100000000")
     assert_json_error(code, out, err)
     assert json.loads(out)["error"].startswith("MemoryError")
+
+
+def test_negative_exponent_value(capsys):
+    # argparse's default negative-number pattern misses exponent notation
+    args = ("limit", "study", "--n", "100,200,400")
+    code, out, err = run(capsys, *args, "--s", "-1.985622971567569e-05")
+    assert code == 0 and err == ""
+    assert (code, out) == run(capsys, *args, "--s=-1.985622971567569e-05")[:2]
+    assert run(capsys, "continuum", "liouville", "--s", "-2E-1", "--c", "-1.3e0")[0] == 0

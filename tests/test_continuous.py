@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import frieze_lab as fl
-from frieze_lab.continuous import ContinuousFrieze, is_closed_frieze, potential_y_spread
+from frieze_lab.continuous import is_closed_frieze, potential_y_spread
 
 
 def sin_frieze():
@@ -80,7 +80,7 @@ def test_liouville_residuals_family():
 
 
 def test_liouville_residual_fd_fallback():
-    Fz = ContinuousFrieze(F=lambda x, y: 1.0 + x * y, period=None)
+    Fz = fl.frieze_from_components(F=lambda x, y: 1.0 + x * y, period=None)
     res = fl.liouville_residual(Fz, grid=32, domain=((0.2, 2.0), (0.2, 2.0)), h=1e-3)
     assert res < 1e-5  # FD truncation dominates the fallback path
 
@@ -103,7 +103,7 @@ def test_power_product_family_residual_value():
     def Fxy(x, y):
         return (t**2 * (x * y) ** t + (1 - t) ** 2 * (x * y) ** (1 - t)) / (x * y)
 
-    Fz = ContinuousFrieze(F=F, Fx=Fx, Fy=Fy, Fxy=Fxy, period=None)
+    Fz = fl.frieze_from_components(F=F, Fx=Fx, Fy=Fy, Fxy=Fxy, period=None)
     res = fl.liouville_residual(Fz, grid=32, domain=((0.5, 2.0), (0.5, 2.0)))
     assert abs(res - (1.0 - (1.0 - 2 * t) ** 2)) < 1e-10
 
@@ -125,7 +125,7 @@ def test_power_product_normalized_solves_liouville():
     def Fxy(x, y):
         return (t**2 * (x * y) ** t + (1 - t) ** 2 * (x * y) ** (1 - t)) / (x * y * scale)
 
-    Fz = ContinuousFrieze(F=F, Fx=Fx, Fy=Fy, Fxy=Fxy, period=None)
+    Fz = fl.frieze_from_components(F=F, Fx=Fx, Fy=Fy, Fxy=Fxy, period=None)
     assert fl.liouville_residual(Fz, grid=32, domain=((0.5, 2.0), (0.5, 2.0))) < 1e-12
 
 
@@ -178,7 +178,7 @@ def test_curvature_constant_minus_one():
 
 
 def test_curvature_detects_non_solution():
-    bad = ContinuousFrieze(F=lambda x, y: (y - x) ** 2, period=None)
+    bad = fl.frieze_from_components(F=lambda x, y: (y - x) ** 2, period=None)
     ks, _ = fl.curvature_conformal(bad, grid=16, domain=((0.0, 1.0), (1.5, 3.0)))
     assert np.max(np.abs(ks + 1.0)) > 0.1
 
@@ -186,14 +186,14 @@ def test_curvature_detects_non_solution():
 def test_curvature_requires_positive_F():
     with pytest.raises(fl.NonPositiveF):
         fl.curvature_conformal(
-            ContinuousFrieze(F=lambda x, y: y - x, period=None),
+            fl.frieze_from_components(F=lambda x, y: y - x, period=None),
             grid=16,
             domain=((0.0, 1.0), (-2.0, -1.0)),
         )
 
 
 def test_potential_degenerate_guard():
-    Fz = ContinuousFrieze(F=lambda x, y: 0.0, period=math.pi)
+    Fz = fl.frieze_from_components(F=lambda x, y: 0.0, period=math.pi)
     pot = fl.potential_from_frieze(Fz)
     with pytest.raises(fl.DegenerateF):
         pot.kappa(0.5)
@@ -207,7 +207,7 @@ def test_liouville_residual_field_shape():
 
 
 def test_boundary_check_fd_fallback():
-    Fz = ContinuousFrieze(F=lambda x, y: np.sin(y - x), period=math.pi)
+    Fz = fl.frieze_from_components(F=lambda x, y: np.sin(y - x), period=math.pi)
     res = fl.boundary_check(Fz, math.pi)
     assert res["diagonal_zero"] < 1e-12
     assert res["unit_slope"] < 1e-9 and res["unit_slope_x"] < 1e-9

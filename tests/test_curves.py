@@ -205,7 +205,7 @@ def test_guard_messages_name_one_point():
     assert str(err.value) == "f'(0.0) ~ 0"
     with pytest.raises(fl.NonPositiveF) as err:
         fl.curvature_conformal(
-            fl.ContinuousFrieze(F=lambda x, y: y - x), grid=16, domain=((0.0, 1.0), (-2.0, -1.0))
+            fl.frieze_from_components(F=lambda x, y: y - x), grid=16, domain=((0.0, 1.0), (-2.0, -1.0))
         )
     assert str(err.value) == "F(0.0, -2.0) <= 0"
 

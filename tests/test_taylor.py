@@ -1,5 +1,6 @@
 """Taylor rules of SmoothFunction against independent references."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -204,4 +205,56 @@ def test_lift_polygon_tangent_trig_calls(monkeypatch):
 
 def test_liouville_field_trig_calls(monkeypatch):
     frieze = fl.frieze_from_curve(fl.lift_curve(fl.tan_family(0.2, c=0.5)))
-    assert 0 < count_trig_calls(monkeypatch, lambda: fl.liouville_residual_field(frieze, grid=128)) <= 40
+    assert 0 < count_trig_calls(monkeypatch, lambda: fl.liouville_residual_field(frieze, grid=128)) <= 12
+
+
+def test_convergence_study_samples_lift_once_per_count():
+    cur = fl.tan_family(0.2, c=0.5)
+    calls = []
+    lift = cur.lift
+    counted = dataclasses.replace(lift, taylor=lambda x, m: calls.append(m) or lift.taylor(x, m))
+    xi = trig_poly(math.pi, {0: (0.5, 0.0), 1: (-0.5, 0.0)})
+    eta = trig_poly(math.pi, {0: (0.25, 0.0), 1: (0.0, 0.5), 2: (-0.25, 0.0)})
+    ns = [100, 200, 400, 800, 1600, 3200, 6400]
+    fl.convergence_study(dataclasses.replace(cur, lift=counted), xi, eta, ns, nodes=4096)
+    # 3 calls on the quadrature nodes and one per sample count
+    assert len(calls) <= 10
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3])
+def test_genform_rows_match_partial_formulas(s):
+    cur = fl.tan_family(s)
+    x, y = PTS / 2.0, PTS[::-1] / 2.0
+    (fx, px, qx), (fy, py, qy) = cur.f.taylor(x, 2), cur.f.taylor(y, 2)
+    sign = np.where(cur.branch_count(x) % 2, -1.0, 1.0) * np.where(cur.branch_count(y) % 2, -1.0, 1.0)
+    root = np.sqrt(px * py)
+    F = sign * (fy - fx) / np.sqrt(px * py)
+    Fx = sign * (-px / root - 0.5 * (fy - fx) * qx / (px * root))
+    Fy = sign * (py / root - 0.5 * (fy - fx) * qy / (py * root))
+    Fxy = sign * (
+        0.5 * px * qy / (py * root)
+        - 0.5 * py * qx / (px * root)
+        + 0.25 * (fy - fx) * qx * qy / (px * py * root)
+    )
+    G = fl.frieze_genform(cur)
+    assert np.array_equal(G.taylor(x, y, 1), np.array([[F, Fy], [Fx, Fxy]]))
+    assert np.array_equal(G.taylor(x, y, 0), np.array([[F]]))
+    for view, ref in zip((G.F, G.Fx, G.Fy, G.Fxy), (F, Fx, Fy, Fxy)):
+        assert np.array_equal(view(x, y), ref)
+
+
+def test_frieze_from_components_order_and_broadcast():
+    one, zero = (lambda x, y: 1.0), (lambda x, y: 0.0)
+    assert fl.frieze_from_components(one).order == 0
+    assert fl.frieze_from_components(one, Fx=zero, Fy=zero).order == 0
+    Fz = fl.frieze_from_components(lambda x, y: 1.0 + x * y, lambda x, y: y, lambda x, y: x, one)
+    assert Fz.order == 1 and Fz.period is None
+    x, y = PTS[:8, None], PTS[None, 8:16]
+    got = Fz.taylor(x, y, 1)
+    assert got.shape == (2, 2, 8, 8)
+    assert np.array_equal(got[1, 1], np.ones((8, 8)))
+    assert np.array_equal(got[1, 0], np.broadcast_to(y, (8, 8)))
+    assert np.array_equal(got[0, 0], 1.0 + x * y)
+    assert Fz.taylor(0.5, 2.0, 0).shape == (1, 1) and Fz.F(0.5, 2.0) == 2.0
+    with pytest.raises(ValueError, match="not available"):
+        fl.frieze_from_components(one).Fx(0.5, 2.0)
