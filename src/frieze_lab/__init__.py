@@ -79,7 +79,6 @@ from .hill import (
     hill_solve,
     is_antiperiodic,
     is_nonoscillating,
-    monodromy_matrix,
     potential_from_constant,
 )
 from .jets import Jet, seed_jets

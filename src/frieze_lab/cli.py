@@ -297,12 +297,15 @@ def cmd_limit(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as ValueError, so main answers it like any bad input.
 
-    A negative number in exponent notation (-1.5e-05) is a value, not an option.
+    A negative number in exponent notation (-1.5e-05), and -inf, -infinity or
+    -nan in any case, is a value, not an option.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+        )
 
     def error(self, message):
         raise ValueError(message)

@@ -10,11 +10,10 @@ diagonal sum evaluated on brackets against the distinguished vertex V_{n-1}:
 a_i = [V_{n-1}, V_i], and the tangent components [V_{n-1}, xi_i].
 
 Coordinate changes run on the fundamental polygon.  The source chart is
-seeded with jets, straightened to a diagonal and turned into its quiddity;
-the recurrence V_{k+1} = c_k V_k - V_{k-1} then gives 2n jet vertices, and
-every target entry is the single bracket e(i, j) = [V_i, V_j].  The jets carry
-exact first derivatives, so equality of the three evaluations is testable as
-identity of rationals.
+seeded with jets and ``frieze._chart_polygon`` reads its 2n jet vertices off
+the chart, one vertex per path step; every target entry is then the single
+bracket e(i, j) = [V_i, V_j].  The jets carry exact first derivatives, so
+equality of the three evaluations is testable as identity of rationals.
 """
 
 from __future__ import annotations
@@ -23,17 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exceptions import GaugeViolation, ZeroEntryEncountered
-from .frieze import (
-    SE,
-    DiagonalCoords,
-    ZigzagCoords,
-    ZigzagPath,
-    _quiddity_from_diagonal,
-    _straighten,
-)
+from .exceptions import GaugeViolation
+from .frieze import SE, DiagonalCoords, ZigzagCoords, ZigzagPath, _chart_polygon, _complete_rows
 from .jets import Jet, seed_jets
-from .recurrence import DiscreteHillEquation, det2, solve_recurrence
+from .recurrence import det2
 
 
 @dataclass(frozen=True)
@@ -85,21 +77,14 @@ def _as_zigzag(coords) -> ZigzagCoords:
 
 
 def _jet_polygon(z: ZigzagCoords) -> list:
-    """Jet vertices V_0..V_{2n-1}, with V_0 = (1,0), V_1 = (0,1), seeded on ``z``.
+    """Jet vertices V_0..V_{2n-1} of the polygon read off ``z``, seeded on its values.
 
     Raises ZeroEntryEncountered when an interior entry of the frieze vanishes;
-    that check runs on the value parts only.
+    that check completes the rows of the value-part quiddity.
     """
-    n = z.width + 3
-    flat = _straighten(ZigzagCoords(path=z.path, values=tuple(seed_jets(z.values))))
-    c = _quiddity_from_diagonal(flat.values, flat.path.start % n, n)
-    zero, one = (Jet(Fraction(k), (Fraction(0),) * z.width) for k in (0, 1))
-    V = solve_recurrence(DiscreteHillEquation(tuple(c)), (one, zero), (zero, one), 2 * n - 1)
-    vals = [(x.val, y.val) for x, y in V]
-    for r in range(1, n - 2):
-        for i in range(n):
-            if det2(vals[i], vals[i + r + 1]) == 0:
-                raise ZeroEntryEncountered(f"zero entry in row {r}, column {(i + 1) % n}")
+    V = _chart_polygon(z.path, seed_jets(z.values), Jet(Fraction(1), (Fraction(0),) * z.width))
+    n = len(V) // 2
+    _complete_rows([det2(V[k - 1], V[k + 1]).val for k in range(n)], n)
     return V
 
 

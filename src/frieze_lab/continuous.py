@@ -197,7 +197,7 @@ def boundary_check(frieze: ContinuousFrieze, T: float, grid: int = 256) -> dict:
     us = np.linspace(T / 8.0, T - T / 8.0, 17)
     (diag, fy), (fx, _) = _partials(frieze, xs, xs, 1e-5)
     x = xs[: grid // 2, None]
-    anti = on_grid(frieze.F, x + T, x + us) + on_grid(frieze.F, x, x + us)
+    anti = on_grid(frieze.F, np.stack((x + T, x)), x + us).sum(axis=0)
     return {
         "diagonal_zero": float(np.max(np.abs(diag))),
         "unit_slope": float(np.max(np.abs(fy - 1.0))),

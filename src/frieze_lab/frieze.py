@@ -14,19 +14,24 @@ vectors i and j of the associated three-term recurrence.  In that picture
 * the glide symmetry is ``e(i, j) == e(j, i+n)``, whose square is the
   horizontal shift by the period ``n = w + 3``.
 
-All public constructors work over ``fractions.Fraction``.  The zigzag
-mutations and ``_quiddity_from_diagonal`` are scalar-generic: the cluster
-module runs them on jet (dual-number) values to reach the quiddity, and then
-reads every entry as a bracket of polygon vertices instead of completing rows.
+Every chart is read as a polygon: each step along a zigzag path adds one
+vertex, so ``_chart_polygon`` builds V_0..V_{2n-1} straight from the chart's
+values, and ``zigzag_to_frieze`` completes the rows from the quiddity
+c_k = [V_{k-1}, V_{k+1}].  All public constructors work over
+``fractions.Fraction``; ``_chart_polygon`` and the zigzag mutations are
+scalar-generic, and the cluster module runs the builder on jet (dual-number)
+values to read every entry as a bracket of polygon vertices.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exceptions import NotClosed, ZeroEntryEncountered
+from .recurrence import det2
 
 SE = "SE"
 SW = "SW"
@@ -185,26 +190,6 @@ class DiagonalCoords:
         return ZigzagCoords(path=path, values=tuple(self.values))
 
 
-def _quiddity_from_diagonal(values: Sequence, base: int, n: int) -> list:
-    """Recover the quiddity from one SE diagonal.  Scalar-generic.
-
-    The diagonal recurrence pins every coefficient except c_base; that one is
-    read off the neighbouring diagonal, swept out by the diamond rule.
-    """
-    d = [Fraction(0), Fraction(1), *values, Fraction(1), Fraction(0)]  # e(base, base+k)
-    c: list = [None] * n
-    for j in range(1, n):
-        c[(base + j) % n] = (d[j + 1] + d[j - 1]) / d[j]
-    d2 = [0, 1]  # e(base+1, base+1+k)
-    for k in range(2, n):
-        if _is_zero(d[k]):
-            raise ZeroEntryEncountered("zero diagonal value")
-        d2.append((1 + d[k + 1] * d2[k - 1]) / d[k])
-    # closing entry of the neighbour diagonal is 1, so c_base = e(base+1, base+n-1)
-    c[base % n] = d2[n - 2]
-    return c
-
-
 def diagonal_to_frieze(values: Sequence, base: int | None = None) -> FriezePattern:
     """Closed frieze whose SE diagonal at ``base`` reads (1, a_1..a_w, 1).
 
@@ -216,11 +201,7 @@ def diagonal_to_frieze(values: Sequence, base: int | None = None) -> FriezePatte
         raise ZeroEntryEncountered("diagonal values must be nonzero")
     n = len(vals) + 3
     b = (n - 1) if base is None else base % n
-    quiddity = _quiddity_from_diagonal(vals, b, n)
-    frieze = propagate_from_quiddity(quiddity)
-    if frieze.diagonal(b).values != vals:
-        raise AssertionError("diagonal reconstruction mismatch")
-    return frieze
+    return zigzag_to_frieze(DiagonalCoords(base=b, values=vals).as_zigzag())
 
 
 # ---------------------------------------------------------------------------
@@ -324,24 +305,44 @@ def elementary_mutation(z: ZigzagCoords, position: int) -> ZigzagCoords:
     return ZigzagCoords(path=path, values=tuple(vals))
 
 
-def _straighten(z: ZigzagCoords) -> ZigzagCoords:
-    """Mutate a zigzag into all-SE (diagonal) form; value arithmetic is generic."""
-    cur = z
-    while SW in cur.path.moves:
-        k = cur.path.moves.index(SW)
-        # a SW move bubbles up through corners and pops off at the top
-        cur = elementary_mutation(cur, k)
-    return cur
+def _chart_polygon(path: ZigzagPath, values: Sequence, one) -> list:
+    """Polygon vertices V_0..V_{2n-1} read off a zigzag chart.  Scalar-generic.
+
+    The entries visited are the row-0 entry e(s, s+1) = 1 with s = path.start,
+    the path, and the closing entry of the row of ones.  The current entry is
+    always e(lo, hi) over the vertices built so far, V_s = (1, 0) and
+    V_{s+1} = (0, 1) to begin with.  A step from value a to value b adds one
+    vertex with unit bracket against its neighbour: a SE step
+    V_{hi+1} = (b V_hi - V_lo)/a, a SW step V_{lo-1} = (b V_lo - V_hi)/a.  The
+    last step closes the n vertices, and V_{k+n} = -V_k gives the rest.  Only
+    path values are divisors; ``one`` is the unit of the scalar type.
+    """
+    if len(values) != path.width:
+        raise ValueError("a zigzag chart needs one value per path entry")
+    if any(_is_zero(v) for v in values):
+        raise ZeroEntryEncountered("zigzag values must be nonzero")
+    zero = one - one
+    poly = deque([(one, zero), (zero, one)])
+    a = one
+    # zip stops at the closing entry; for w = 0 it is the first step
+    for move, b in zip((SE, *path.moves, SE), (*values, one)):
+        near, far = (poly[-1], poly[0]) if move == SE else (poly[0], poly[-1])
+        vertex = ((b * near[0] - far[0]) / a, (b * near[1] - far[1]) / a)
+        if move == SE:
+            poly.append(vertex)
+        else:
+            poly.appendleft(vertex)
+        a = b
+    lo = path.start - path.moves.count(SW)
+    polygon = [*poly, *((-x, -y) for x, y in poly)]
+    r = -lo % len(polygon)
+    return polygon[r:] + polygon[:r]
 
 
 def zigzag_to_frieze(z: ZigzagCoords) -> FriezePattern:
     """Complete the frieze determined by zigzag coordinates."""
-    if any(v == 0 for v in z.values):
-        raise ZeroEntryEncountered("zigzag values must be nonzero")
-    if z.width == 0:
-        return propagate_from_quiddity((1, 1, 1))
-    flat = _straighten(z)
-    frieze = diagonal_to_frieze(flat.values, base=flat.path.start)
+    V = _chart_polygon(z.path, z.values, Fraction(1))
+    frieze = propagate_from_quiddity([det2(V[k - 1], V[k + 1]) for k in range(len(V) // 2)])
     if read_zigzag(frieze, z.path).values != z.values:
         raise AssertionError("zigzag reconstruction mismatch")
     return frieze

@@ -117,11 +117,6 @@ def hill_solve(
     return _combine(a, b, y0, dy0), _monodromy(a, b)
 
 
-def monodromy_matrix(pot: HillPotential, T: float | None = None, steps: int | None = None) -> np.ndarray:
-    T = pot.period if T is None else T
-    return _monodromy(*_fundamental(pot.kappa, T, resolution(steps)))
-
-
 def is_antiperiodic(m: np.ndarray, tol: float = 1e-6) -> bool:
     return bool(np.max(np.abs(m + np.eye(2))) <= tol)
 

@@ -1,10 +1,10 @@
 """First-order jets over exact rationals for exact Jacobians.
 
 A Jet carries a value and a gradient with respect to a fixed tuple of base
-coordinates.  Running the quiddity recovery and the recurrence
-V_{k+1} = c_k V_k - V_{k-1} in Jet arithmetic gives polygon vertices whose
-brackets [V_i, V_j], the frieze entries, carry exact partial derivatives with
-respect to the seed coordinates, with no truncation and no symbolic algebra.
+coordinates.  Reading the polygon off a chart seeded with jets, one vertex per
+path step, gives vertices whose brackets [V_i, V_j], the frieze entries, carry
+exact partial derivatives with respect to the seed coordinates, with no
+truncation and no symbolic algebra.
 """
 
 from __future__ import annotations

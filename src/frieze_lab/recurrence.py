@@ -18,10 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .exceptions import DegeneratePoint
-from .frieze import FriezePattern
+
+if TYPE_CHECKING:
+    from .frieze import FriezePattern
 
 Vec = tuple
 

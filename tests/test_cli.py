@@ -240,6 +240,22 @@ def test_non_finite_s_exit_2(capsys):
         assert "--s" in json.loads(out)["error"]
 
 
+def test_negative_non_finite_s_is_a_value(capsys):
+    # argparse's default negative-number pattern reads -inf as an option
+    for value in ("-inf", "-Infinity", "-NAN"):
+        code, out, err = run(capsys, "continuum", "hill", "--s", value)
+        assert_json_error(code, out, err)
+        got = "-inf" if "inf" in value.lower() else "nan"
+        assert json.loads(out)["error"] == f"ValueError: --s must be finite, got {got}"
+
+
+def test_negative_non_finite_c_is_a_value(capsys):
+    for argv in (("continuum", "kirillov", "--c", "-INF"), ("limit", "study", "--c", "-nan")):
+        code, out, err = run(capsys, *argv)
+        assert_json_error(code, out, err)
+        assert "--c must be finite" in json.loads(out)["error"]
+
+
 def test_zero_or_non_finite_c_exit_2(capsys):
     for argv in (("continuum", "kirillov", "--c", "0"), ("limit", "study", "--c", "nan")):
         code, out, err = run(capsys, *argv)

@@ -1,12 +1,22 @@
 import ast
 import random
+from fractions import Fraction
 from fractions import Fraction as Fr
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
 import frieze_lab as fl
-from frieze_lab.frieze import SE, SW
+from frieze_lab.exceptions import ZeroEntryEncountered
+from frieze_lab.frieze import (
+    SE,
+    SW,
+    ZigzagCoords,
+    _complete_rows,
+    _is_zero,
+    elementary_mutation,
+)
 
 
 def basis(w):
@@ -166,9 +176,38 @@ def random_path(rng, w):
     )
 
 
+def _straighten(z: ZigzagCoords) -> ZigzagCoords:
+    """Mutate a zigzag into all-SE (diagonal) form; value arithmetic is generic."""
+    cur = z
+    while SW in cur.path.moves:
+        k = cur.path.moves.index(SW)
+        # a SW move bubbles up through corners and pops off at the top
+        cur = elementary_mutation(cur, k)
+    return cur
+
+
+def _quiddity_from_diagonal(values: Sequence, base: int, n: int) -> list:
+    """Recover the quiddity from one SE diagonal.  Scalar-generic.
+
+    The diagonal recurrence pins every coefficient except c_base; that one is
+    read off the neighbouring diagonal, swept out by the diamond rule.
+    """
+    d = [Fraction(0), Fraction(1), *values, Fraction(1), Fraction(0)]  # e(base, base+k)
+    c: list = [None] * n
+    for j in range(1, n):
+        c[(base + j) % n] = (d[j + 1] + d[j - 1]) / d[j]
+    d2 = [0, 1]  # e(base+1, base+1+k)
+    for k in range(2, n):
+        if _is_zero(d[k]):
+            raise ZeroEntryEncountered("zero diagonal value")
+        d2.append((1 + d[k + 1] * d2[k - 1]) / d[k])
+    # closing entry of the neighbour diagonal is 1, so c_base = e(base+1, base+n-1)
+    c[base % n] = d2[n - 2]
+    return c
+
+
 def row_completion_transport(source, path):
     """Reference chart change: complete every row in jets, then read the path."""
-    from frieze_lab.frieze import _complete_rows, _quiddity_from_diagonal, _straighten
     from frieze_lab.jets import seed_jets
 
     z = source.as_zigzag() if isinstance(source, fl.DiagonalCoords) else source
@@ -201,6 +240,46 @@ def test_zero_entry_off_the_target_path_raises():
         fl.pushforward(d, d.as_zigzag().path, (Fr(1), Fr(0)))
     with pytest.raises(fl.ZeroEntryEncountered):
         fl.polygon_tangent_from_diagonal(d, (Fr(1), Fr(0)))
+
+
+def test_zero_entry_errors_do_not_depend_on_the_route():
+    # this chart's frieze has e(1, 3) = 0; straightening it divided by that zero
+    z = fl.ZigzagCoords(
+        path=fl.ZigzagPath(start=12, moves=(SW, SW), width=3), values=(Fr(1, 2), Fr(-1), Fr(-3, 2))
+    )
+    for build in (
+        lambda: fl.zigzag_to_frieze(z),
+        lambda: fl.chart_jacobian(z, fl.ZigzagPath(start=0, moves=(SE, SE), width=3)),
+    ):
+        with pytest.raises(fl.ZeroEntryEncountered, match=r"^zero entry in row 1, column 2$"):
+            build()
+
+
+def test_zero_source_value_raises_zero_entry():
+    d = fl.DiagonalCoords(base=4, values=(Fr(2), Fr(0)))
+    z = fl.ZigzagCoords(path=fl.ZigzagPath(start=1, moves=(SW,)), values=(Fr(0), Fr(3)))
+    target = fl.ZigzagPath(start=0, moves=(SE,))
+    for build in (
+        lambda: fl.zigzag_to_frieze(z),
+        lambda: fl.chart_jacobian(d, target),
+        lambda: fl.chart_jacobian(z, target),
+        lambda: fl.pushforward(z, target, (Fr(1), Fr(0))),
+        lambda: fl.polygon_tangent_from_diagonal(d, (Fr(1), Fr(0))),
+    ):
+        with pytest.raises(fl.ZeroEntryEncountered, match="zigzag values must be nonzero"):
+            build()
+
+
+def test_chart_needs_one_value_per_path_entry():
+    for path, values in (
+        (fl.ZigzagPath(start=0, moves=()), (Fr(2), Fr(3))),
+        (fl.ZigzagPath(start=0, moves=(), width=0), (Fr(2),)),
+    ):
+        z = fl.ZigzagCoords(path=path, values=values)
+        with pytest.raises(ValueError, match="one value per path entry"):
+            fl.zigzag_to_frieze(z)
+        with pytest.raises(ValueError, match="one value per path entry"):
+            fl.chart_jacobian(z, path)
 
 
 def as_strings(vectors):

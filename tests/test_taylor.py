@@ -208,6 +208,12 @@ def test_liouville_field_trig_calls(monkeypatch):
     assert 0 < count_trig_calls(monkeypatch, lambda: fl.liouville_residual_field(frieze, grid=128)) <= 12
 
 
+def test_boundary_check_trig_calls(monkeypatch):
+    # the antiperiodicity evaluates the right lift once, on the shared x + u grid
+    frieze = fl.frieze_from_curve(fl.lift_curve(fl.tan_family(0.2, c=0.5)))
+    assert 0 < count_trig_calls(monkeypatch, lambda: fl.boundary_check(frieze, math.pi)) <= 18
+
+
 def test_convergence_study_samples_lift_once_per_count():
     cur = fl.tan_family(0.2, c=0.5)
     calls = []
