@@ -41,10 +41,13 @@ from .frieze import (
     diagonal_to_frieze,
     elementary_mutation,
     propagate_from_quiddity,
+    report_is_valid,
+    zigzag_to_frieze,
 )
 from .hill import HillPotential, hill_solve, is_antiperiodic, is_nonoscillating
 from .kirillov import field_from_variation, kirillov_form_curve, kirillov_form_fields_both
 from .limit import convergence_study
+from .quadrature import periodic_nodes
 from .recurrence import cross_ratio_coordinates, polygon_from_frieze
 from .serialize import csv_string, dumps, fraction_to_str
 
@@ -115,16 +118,16 @@ def cmd_frieze(args) -> int:
     if args.sub == "check":
         frieze = serialize.frieze_from_doc(_read_doc(args.input))
         report = frieze.check()
-        report["valid"] = frieze.is_valid()
+        report["valid"] = report_is_valid(report)
         _emit(dumps(report), args.output)
         return 0 if report["valid"] else 2
     if args.sub == "mutate":
         moves = tuple(m for m in args.moves.split(",") if m) if args.moves else ()
         values = _parse_rationals(args.values)
         path = ZigzagPath(start=args.start, moves=moves, width=len(values))
-        out = elementary_mutation(
-            ZigzagCoords(path=path, values=tuple(values)), args.position
-        )
+        chart = ZigzagCoords(path=path, values=tuple(values))
+        zigzag_to_frieze(chart)  # the chart must give a frieze without zero entries
+        out = elementary_mutation(chart, args.position)
         _emit(
             dumps(
                 {
@@ -202,7 +205,7 @@ def cmd_continuum(args) -> int:
     frieze = frieze_from_curve(lift)
 
     if args.sub == "frieze2d":
-        xs = np.linspace(0.0, T, args.grid, endpoint=False)
+        xs = periodic_nodes(T, args.grid)
         X, Y = np.meshgrid(xs, xs, indexing="ij")
         values = on_grid(frieze.F, X, Y)
         rows = list(zip(X.ravel().tolist(), Y.ravel().tolist(), values.ravel().tolist()))

@@ -9,8 +9,8 @@ unit-determinant lift, F(x,y) = [Gamma(x), Gamma(y)], equivalently as
     F(x,y) = (f(y) - f(x)) / sqrt(f'(x) f'(y))
 
 with a branch-consistent square root.  The conformal metric -4 F^{-2} dz dzbar
-in the two frieze variables has constant curvature -1 exactly when the
-Liouville identity holds.
+in the two frieze variables has curvature K = -(F F_xy - F_x F_y), so it is
+-1 exactly when the Liouville identity holds.
 
 A ``ContinuousFrieze`` is its Taylor evaluator: one array per grid holds F and
 its partials; from a lift, entry [i, j] brackets Taylor row i of Gamma(x) with
@@ -28,7 +28,7 @@ import numpy as np
 from .curves import LiftedCurve, ProjectiveCurve, first_where, lift_curve, on_grid
 from .exceptions import DegenerateF, NonPositiveF
 from .hill import HillPotential
-from .quadrature import mixed_partial
+from .quadrature import mixed_partial, periodic_nodes
 
 Domain = tuple[tuple[float, float], tuple[float, float]]
 
@@ -140,7 +140,7 @@ def _grid(frieze: ContinuousFrieze, n: int, domain: Domain | None) -> tuple[np.n
     if frieze.period is None:
         raise ValueError("aperiodic frieze needs an explicit domain")
     T = frieze.period
-    xs = (np.arange(n) + 0.5) * (T / n)
+    xs = periodic_nodes(T, n, 0.5)
     us = np.linspace(T / 16.0, T - T / 16.0, n)
     return xs[:, None], xs[:, None] + us
 
@@ -193,7 +193,7 @@ def liouville_residual(
 
 def boundary_check(frieze: ContinuousFrieze, T: float, grid: int = 256) -> dict:
     """Residuals of the closure conditions along the diagonal and the period."""
-    xs = (np.arange(grid) + 0.5) * (2.0 * T / grid)
+    xs = periodic_nodes(2.0 * T, grid, 0.5)
     us = np.linspace(T / 8.0, T - T / 8.0, 17)
     (diag, fy), (fx, _) = _partials(frieze, xs, xs, 1e-5)
     x = xs[: grid // 2, None]
@@ -267,9 +267,12 @@ def curvature_conformal(
     In the two frieze variables the coordinate derivatives d/dz, d/dzbar act
     as d/dx, d/dy (one quarter of the Laplacian after passing to real and
     imaginary parts), so K = -(2/lam) * d2(ln|lam|)/dxdy with lam = -4 F^{-2}.
-    The mixed partial is taken by second-order central differences; K is -1
-    wherever F solves the Liouville identity.  A step h that vanishes against
-    a grid coordinate (x + h == x) raises ValueError.
+    By the chain rule that is exactly K = -(F F_xy - F_x F_y): the curvature
+    is minus the Liouville expression, and K is -1 wherever F solves the
+    Liouville identity.  The mixed partial is taken by second-order central
+    differences, so the result differs from -(F F_xy - F_x F_y) by O(h^2).
+    A step h that vanishes against a grid coordinate (x + h == x) raises
+    ValueError.
     """
     X, Y = _grid(frieze, grid, domain)
     if np.any(X + h == X) or np.any(Y + h == Y):

@@ -41,6 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DerivativeVanishes
+from .quadrature import periodic_nodes
 
 _DERIV_EPS = 1e-14
 
@@ -326,7 +327,7 @@ class ProjectiveCurve:
     family: str = "custom"
 
     def min_derivative(self, grid: int = 512) -> float:
-        xs = np.linspace(0.0, 1.0 if self.period is None else self.period, grid, endpoint=False)
+        xs = periodic_nodes(1.0 if self.period is None else self.period, grid)
         return float(np.min(on_grid(self.f.d1, xs)))
 
     def require_admissible(self, grid: int = 512) -> None:

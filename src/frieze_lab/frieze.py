@@ -152,8 +152,12 @@ class FriezePattern:
         }
 
     def is_valid(self) -> bool:
-        report = self.check()
-        return all(v for k, v in report.items() if k != "period")
+        return report_is_valid(self.check())
+
+
+def report_is_valid(report: dict) -> bool:
+    """Whether a ``FriezePattern.check()`` report passes every check."""
+    return all(v for k, v in report.items() if k != "period")
 
 
 def propagate_from_quiddity(quiddity: Sequence) -> FriezePattern:

@@ -5,6 +5,11 @@ parameterization 2c y'' + k(x) y = 0 corresponds to kappa = -k / (2c); a
 HillPotential stores kappa together with the central constant c and exposes
 the k-form through an adapter, so each caller states explicitly which
 convention it consumes.
+
+Every result is read off one RK4 pass, ``_fundamental``, which steps the two
+fundamental solutions (u, u') = (1, 0) and (0, 1) together: ``hill_solve``
+returns the first one and the monodromy matrix of their end values, and
+``is_nonoscillating`` counts the zeros of random mixes of the two.
 """
 
 from __future__ import annotations
@@ -91,30 +96,10 @@ def _fundamental(kappa, T: float, steps: int) -> tuple[HillSolution, HillSolutio
     return HillSolution(xs[::2], a, da), HillSolution(xs[::2], b, db)
 
 
-def _combine(a: HillSolution, b: HillSolution, y0: float, dy0: float) -> HillSolution:
-    return HillSolution(a.xs, y0 * a.ys + dy0 * b.ys, y0 * a.dys + dy0 * b.dys)
-
-
-def _monodromy(a: HillSolution, b: HillSolution) -> np.ndarray:
-    return np.array([[a.ys[-1], b.ys[-1]], [a.dys[-1], b.dys[-1]]])
-
-
-def _rk4(kappa, T: float, y0: float, dy0: float, steps: int) -> HillSolution:
-    """The solution with u(0) = y0, u'(0) = dy0, from one fundamental pass."""
-    return _combine(*_fundamental(kappa, T, steps), y0, dy0)
-
-
-def hill_solve(
-    pot: HillPotential,
-    T: float | None = None,
-    y0: float = 1.0,
-    dy0: float = 0.0,
-    steps: int | None = None,
-) -> tuple[HillSolution, np.ndarray]:
-    """Integrate one period and return the samples plus the monodromy matrix."""
-    T = pot.period if T is None else T
-    a, b = _fundamental(pot.kappa, T, resolution(steps))
-    return _combine(a, b, y0, dy0), _monodromy(a, b)
+def hill_solve(pot: HillPotential, steps: int | None = None) -> tuple[HillSolution, np.ndarray]:
+    """The solution with u(0) = 1, u'(0) = 0 over one period, and the monodromy matrix."""
+    a, b = _fundamental(pot.kappa, pot.period, resolution(steps))
+    return a, np.array([[a.ys[-1], b.ys[-1]], [a.dys[-1], b.dys[-1]]])
 
 
 def is_antiperiodic(m: np.ndarray, tol: float = 1e-6) -> bool:
@@ -124,43 +109,28 @@ def is_antiperiodic(m: np.ndarray, tol: float = 1e-6) -> bool:
 def count_zeros(samples: np.ndarray) -> int:
     """Zeros over a half-open sample window, by sign changes and exact hits.
 
-    A run of exact-zero samples counts as one zero (Hill solutions have simple
-    zeros, so a run is one zero seen twice, not two).  Raises GridTooCoarse
-    when two zeros fall within two grid cells of each other.
+    A run of exact-zero samples counts as one zero, at its first sample (Hill
+    solutions have simple zeros, so a run is one zero seen twice, not two); a
+    sign change right after a run is that same zero.  So an event falls at
+    i >= 1 when sample i-1 is nonzero and its sign differs from sample i's, and
+    at 0 when sample 0 is zero.  Raises GridTooCoarse when two zeros fall
+    within two grid cells of each other.
     """
-    ys = np.asarray(samples)
-    signs = np.sign(ys)
-    events = []
-    last = 0.0
-    in_zero_run = False
-    for i, s in enumerate(signs):
-        if s == 0:
-            if not in_zero_run:
-                events.append(i)
-                in_zero_run = True
-            continue
-        if last != 0 and s != last and not in_zero_run:
-            events.append(i)
-        in_zero_run = False
-        last = s
-    for a, b in zip(events, events[1:]):
-        if b - a <= 2:
-            raise GridTooCoarse("two sign changes within two grid cells")
+    s = np.sign(samples)
+    events = np.flatnonzero(np.concatenate((s[:1] == 0, (s[:-1] != 0) & (s[1:] != s[:-1]))))
+    if np.any(np.diff(events) <= 2):
+        raise GridTooCoarse("two sign changes within two grid cells")
     return len(events)
 
 
-def is_nonoscillating(
-    pot: HillPotential,
-    T: float | None = None,
-    steps: int | None = None,
-    trials: int = 8,
-    seed: int = 0,
-) -> bool:
-    """Every solution has exactly one zero per period, over random basis mixes."""
-    T = pot.period if T is None else T
-    a, b = _fundamental(pot.kappa, T, resolution(steps))
-    rng = random.Random(seed)
-    for _ in range(trials):
+def is_nonoscillating(pot: HillPotential, steps: int | None = None) -> bool:
+    """Every solution has exactly one zero per period, over 8 random basis mixes.
+
+    The mixes come from random.Random(0), so the test is deterministic.
+    """
+    a, b = _fundamental(pot.kappa, pot.period, resolution(steps))
+    rng = random.Random(0)
+    for _ in range(8):
         alpha = rng.uniform(-1.0, 1.0)
         beta = rng.uniform(-1.0, 1.0)
         if abs(alpha) + abs(beta) < 1e-3:

@@ -35,7 +35,7 @@ from .curves import (
 from .exceptions import GaugeViolation, SecondComponentVanishes
 from .kirillov import kirillov_form_curve
 from .quadrature import periodic_nodes, periodic_trapezoid, resolution
-from .recurrence import DiscreteHillEquation, det2
+from .recurrence import DiscreteHillEquation, det2, monodromy
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,6 @@ def scaled_monodromy_defect(eq: DiscreteHillEquation, period: float) -> float:
     (value, divided difference) coordinates restores the O(eps^2) rate of the
     second-difference scheme.
     """
-    from .recurrence import monodromy
-
     eps = period / eq.n
     m = monodromy(eq)
     b = np.array([[1.0, 0.0], [1.0 / eps, -1.0 / eps]])

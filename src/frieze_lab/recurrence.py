@@ -4,7 +4,9 @@ Scalar-generic: coefficients may be exact Fractions or floats.  Closure of the
 periodic potential is equivalent to the monodromy over one period being minus
 the identity, in which case the fundamental solutions trace out a polygon in
 the plane whose brackets against the distinguished vertex reproduce the
-diagonal of the associated frieze:  a_i = [V_{n-1}, V_i].
+diagonal of the associated frieze:  a_i = [V_{n-1}, V_i].  Both the orbit
+(``solve_recurrence``) and the monodromy are read off the recurrence's update
+itself; the monodromy applies it to the two rows of the transfer matrix.
 
 The bracket is the plain 2x2 determinant [u, v] = u_x v_y - u_y v_x.  With the
 polygon normalized so that the diagonal identity above holds on the nose, the
@@ -63,24 +65,18 @@ def wronskians(orbit: Sequence[Vec]) -> list:
     return [det2(orbit[i], orbit[i + 1]) for i in range(len(orbit) - 1)]
 
 
-def step_matrix(ci) -> tuple:
-    """Matrix sending the state (V_i, V_{i-1}) to (V_{i+1}, V_i)."""
-    return ((ci, -1), (1, 0))
-
-
-def _matmul(a, b):
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
-
-
 def monodromy(eq: DiscreteHillEquation) -> tuple:
-    """Transfer matrix over one period, M = S_{n-1} ... S_1 S_0; det M = 1."""
-    m = ((1, 0), (0, 1))
+    """Transfer matrix over one period, M = S_{n-1} ... S_1 S_0; det M = 1.
+
+    S_i = ((c_i, -1), (1, 0)) sends the state (V_i, V_{i-1}) to
+    (V_{i+1}, V_i), so left-multiplying by it steps the two rows of M through
+    the recurrence itself: (top, bottom) -> (c_i top - bottom, top).
+    """
+    top, bottom = (1, 0), (0, 1)
     for i in range(eq.n):
-        m = _matmul(step_matrix(eq.coefficient(i)), m)
-    return m
+        ci = eq.coefficient(i)
+        top, bottom = (ci * top[0] - bottom[0], ci * top[1] - bottom[1]), top
+    return top, bottom
 
 
 def is_minus_identity(m, tol: float | None = None) -> bool:

@@ -51,6 +51,47 @@ def test_diag_and_mutate(capsys):
     assert doc == {"start": 5, "moves": ["SW"], "values": ["3", "2"]}
 
 
+def test_mutate_zero_value_exit_2(capsys):
+    code, out, _ = run(
+        capsys,
+        "frieze", "mutate",
+        "--values", "0,1", "--start", "4", "--moves", "SE", "--position", "0",
+    )
+    assert code == 2
+    assert json.loads(out) == {"error": "ZeroEntryEncountered: zigzag values must be nonzero"}
+
+
+def test_mutate_chart_with_zero_entry_exit_2(capsys):
+    # the same chart as `frieze diag --values 1,-1 --base 4`, whose frieze has a zero
+    code, out, _ = run(
+        capsys,
+        "frieze", "mutate",
+        "--values", "1,-1", "--start", "4", "--moves", "SE", "--position", "1",
+    )
+    assert code == 2
+    assert json.loads(out) == {"error": "ZeroEntryEncountered: zero entry in row 1, column 1"}
+    assert run(capsys, "frieze", "diag", "--values", "1,-1", "--base", "4")[:2] == (code, out)
+
+
+def test_check_runs_the_checks_once(capsys, tmp_path, monkeypatch):
+    from frieze_lab.frieze import FriezePattern
+
+    calls = []
+    check = FriezePattern.check
+
+    def counted(self):
+        calls.append(self)
+        return check(self)
+
+    monkeypatch.setattr(FriezePattern, "check", counted)
+    code, out, _ = run(capsys, "frieze", "gen", "--quiddity", "1,2,2,1,3")
+    doc = tmp_path / "frieze.json"
+    doc.write_text(out)
+    code, out, _ = run(capsys, "frieze", "check", str(doc))
+    assert code == 0 and json.loads(out)["valid"] is True
+    assert len(calls) == 1
+
+
 def test_moduli(capsys):
     code, out, _ = run(capsys, "frieze", "moduli", "--quiddity", "1,2,2,1,3")
     assert code == 0

@@ -217,3 +217,18 @@ def test_boundary_check_fd_fallback():
 def test_liouville_grid_guard():
     with pytest.raises(ValueError):
         fl.liouville_residual(sin_frieze(), grid=16)
+
+
+def test_curvature_is_minus_the_liouville_expression():
+    # K = -(2/lam) d_x d_y ln|lam| with lam = -4 F^{-2} is exactly -(F F_xy - F_x F_y),
+    # so curvature_conformal differs from it only by its central-difference error
+    from frieze_lab.continuous import _grid
+
+    hs = (4e-3, 2e-3, 1e-3, 5e-4)
+    for s in (0.0, 0.2):
+        Fz = fl.frieze_from_curve(fl.lift_curve(fl.tan_family(s)))
+        (f, fy), (fx, fxy) = Fz.taylor(*_grid(Fz, 112, None), 1)
+        liouville = (f * fxy - fx * fy).ravel()
+        errs = np.array([np.max(np.abs(fl.curvature_conformal(Fz, 112, h=h)[0] + liouville)) for h in hs])
+        orders = np.log2(errs[:-1] / errs[1:])
+        assert np.all((1.9 <= orders) & (orders <= 2.1)), (errs, orders)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import frieze_lab as fl
-from frieze_lab.hill import HillPotential, _rk4, count_zeros, potential_from_constant
+from frieze_lab.hill import HillPotential, _fundamental, count_zeros, potential_from_constant
 
 
 def test_harmonic_oscillator_monodromy():
@@ -39,16 +39,16 @@ def test_hill_k_convention_adapter():
 
 def test_zero_counts():
     T = math.pi
-    s_sin = _rk4(lambda x: -1.0, T, 0.0, 1.0, 2048)
-    assert count_zeros(s_sin.ys[:-1]) == 1
-    s_sin3 = _rk4(lambda x: -9.0, T, 0.0, 3.0, 2048)
-    assert count_zeros(s_sin3.ys[:-1]) == 3
+    s_sin = 1.0 * _fundamental(lambda x: -1.0, T, 2048)[1].ys
+    assert count_zeros(s_sin[:-1]) == 1
+    s_sin3 = 3.0 * _fundamental(lambda x: -9.0, T, 2048)[1].ys
+    assert count_zeros(s_sin3[:-1]) == 3
 
 
 def test_grid_too_coarse():
-    s = _rk4(lambda x: -400.0, math.pi, 0.0, 1.0, 40)
+    s = 1.0 * _fundamental(lambda x: -400.0, math.pi, 40)[1].ys
     with pytest.raises(fl.GridTooCoarse):
-        count_zeros(s.ys[:-1])
+        count_zeros(s[:-1])
 
 
 def test_nonoscillation_family():
@@ -63,8 +63,8 @@ def test_nonoscillation_family():
 def test_rk4_is_fourth_order():
     errs = []
     for steps in (128, 256):
-        s = _rk4(lambda x: -1.0, math.pi, 0.0, 1.0, steps)
-        errs.append(abs(s.ys[-1] - math.sin(math.pi)))
+        s = 1.0 * _fundamental(lambda x: -1.0, math.pi, steps)[1].ys
+        errs.append(abs(s[-1] - math.sin(math.pi)))
     assert 15.0 < errs[0] / errs[1] < 17.0
 
 
@@ -89,3 +89,48 @@ def test_one_kappa_call_per_pass():
     assert np.max(np.abs(sol.ys - np.cos(sol.xs))) < 1e-8
     assert fl.is_nonoscillating(pot, steps=256)
     assert shapes == [(513,), (513,)]
+
+
+def _count_zeros_loop(samples):
+    """count_zeros as a loop over the samples: the reference for the array version."""
+    signs = np.sign(np.asarray(samples))
+    events = []
+    last = 0.0
+    in_zero_run = False
+    for i, s in enumerate(signs):
+        if s == 0:
+            if not in_zero_run:
+                events.append(i)
+                in_zero_run = True
+            continue
+        if last != 0 and s != last and not in_zero_run:
+            events.append(i)
+        in_zero_run = False
+        last = s
+    for a, b in zip(events, events[1:]):
+        if b - a <= 2:
+            raise fl.GridTooCoarse("two sign changes within two grid cells")
+    return len(events)
+
+
+def _outcome(count, samples):
+    try:
+        return count(samples)
+    except fl.GridTooCoarse:
+        return "GridTooCoarse"
+
+
+def test_count_zeros_matches_loop():
+    # runs of one value each, so zero runs (at either end too), NaN runs and
+    # well-separated sign changes all occur, besides grids that are too coarse
+    rng = np.random.default_rng(0)
+    values = np.array([-2.5, -1.0, -0.0, 0.0, 1.0, 3.0, np.nan])
+    outcomes = []
+    for _ in range(10_000):
+        runs = rng.integers(0, 8)
+        seq = np.repeat(rng.choice(values, runs), rng.integers(1, 7, runs))
+        expected = _outcome(_count_zeros_loop, seq)
+        assert _outcome(count_zeros, seq) == expected, seq
+        outcomes.append(expected)
+    assert outcomes.count("GridTooCoarse") > 1000
+    assert {0, 1, 2, 3} <= set(outcomes)

@@ -205,3 +205,23 @@ def test_solve_recurrence_float_scalars():
     orbit = fl.solve_recurrence(eq, (0.0, 1.0), (1.0, 0.5), 40)
     ws = fl.wronskians(orbit)
     assert max(abs(w - ws[0]) for w in ws) < 1e-9 * max(1.0, abs(ws[0]))
+
+
+def test_monodromy_is_the_ordered_step_product():
+    # reference: M = S_{n-1} ... S_0 with S_i = ((c_i, -1), (1, 0)), as matrix products
+    def step_product(c):
+        m = ((1, 0), (0, 1))
+        for ci in c:
+            s = ((ci, -1), (1, 0))
+            m = tuple(
+                tuple(s[r][0] * m[0][col] + s[r][1] * m[1][col] for col in range(2))
+                for r in range(2)
+            )
+        return m
+
+    rng = random.Random(7)
+    for n in range(1, 41):
+        exact = tuple(Fr(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n))
+        assert fl.monodromy(DiscreteHillEquation(c=exact)) == step_product(exact)
+        floats = tuple(rng.uniform(-3.0, 3.0) for _ in range(n))
+        assert repr(fl.monodromy(DiscreteHillEquation(c=floats))) == repr(step_product(floats))
