@@ -14,12 +14,20 @@ seeded with jets and ``frieze._chart_polygon`` reads its 2n jet vertices off
 the chart, one vertex per path step; every target entry is then the single
 bracket e(i, j) = [V_i, V_j].  The jets carry exact first derivatives, so
 equality of the three evaluations is testable as identity of rationals.
+
+A source's polygon is built once: ``_jet_polygon`` keeps the 8 most recently
+used polygons, keyed on the chart's path and values, so a sweep of one source
+over many target charts takes only brackets after its first request.  A
+chart that fails is not cached and raises again on every call.  The
+zero-entry check on a new polygon scans the interior value brackets with
+integer multiplications and no division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .exceptions import GaugeViolation
@@ -76,19 +84,44 @@ def _as_zigzag(coords) -> ZigzagCoords:
     return coords
 
 
-def _jet_polygon(z: ZigzagCoords) -> list:
-    """Jet vertices V_0..V_{2n-1} of the polygon read off ``z``, seeded on its values.
+# polygons kept by _jet_polygon; one sweep source needs one, a cycle of mixed
+# sources a few
+_POLYGON_MEMO_SIZE = 8
 
-    Raises ZeroEntryEncountered when an interior entry of the frieze vanishes;
-    that check completes the rows of the value-part quiddity.
+
+@lru_cache(maxsize=_POLYGON_MEMO_SIZE)
+def _jet_polygon(path: ZigzagPath, values: tuple) -> tuple:
+    """Jet vertices V_0..V_{2n-1} of the polygon read off a chart, seeded on its values.
+
+    Memoized on ``(path, values)``, at most ``_POLYGON_MEMO_SIZE`` polygons,
+    least recently used dropped first; ``_source_polygon`` builds the key.
+    The result is a tuple of frozen jet vertices, safe to share between
+    calls.  Failures are not cached: a chart with a zero entry raises on
+    every call.
+
+    Raises ZeroEntryEncountered when an interior entry e(i, j), i < n and
+    2 <= j - i <= n - 2, of the frieze vanishes.  Each entry is the value
+    bracket [V_i, V_j], and the glide symmetry e(i, j) = e(j, i + n) pairs
+    j - i = d with n - d, so the scan stops at d = n // 2.  Scaling a vertex
+    by its positive denominators keeps its brackets' zeros, so the scan
+    multiplies integers only.  On a zero, the rows of the value-part
+    quiddity are completed to report the first zero in row order.
     """
-    V = _chart_polygon(z.path, seed_jets(z.values), Jet(Fraction(1), (Fraction(0),) * z.width))
+    V = _chart_polygon(path, seed_jets(values), Jet(Fraction(1), (Fraction(0),) * path.width))
     n = len(V) // 2
-    _complete_rows([det2(V[k - 1], V[k + 1]).val for k in range(n)], n)
-    return V
+    P = [(x.val.numerator * y.val.denominator, y.val.numerator * x.val.denominator) for x, y in V]
+    if any(det2(P[i], P[i + d]) == 0 for i in range(n) for d in range(2, n // 2 + 1)):
+        _complete_rows([det2(V[k - 1], V[k + 1]).val for k in range(n)], n)
+    return tuple(V)
 
 
-def _brackets(V: list, pairs) -> list:
+def _source_polygon(z: ZigzagCoords) -> tuple:
+    """The memoized polygon of ``z``, keyed on tuples so that list moves or values work."""
+    p = z.path
+    return _jet_polygon(ZigzagPath(p.start, tuple(p.moves), p.width), tuple(z.values))
+
+
+def _brackets(V: Sequence, pairs) -> list:
     """Frieze entries e(i, j) = [V_{i mod n}, V_{j - i + i mod n}], 0 <= j - i <= n."""
     n = len(V) // 2
     return [det2(V[i % n], V[j - i + i % n]) for i, j in pairs]
@@ -99,7 +132,7 @@ def _chart_transport(source, target_path: ZigzagPath):
     z = _as_zigzag(source)
     if target_path.width != z.width:
         raise ValueError("target path width does not match source width")
-    out = _brackets(_jet_polygon(z), target_path.vertices())
+    out = _brackets(_source_polygon(z), target_path.vertices())
     base = ZigzagCoords(path=target_path, values=tuple(v.val for v in out))
     return base, [list(v.grad) for v in out]
 
@@ -135,12 +168,16 @@ def pushforward_many(source, target_path: ZigzagPath, vectors) -> list[TangentVe
 # rank of the form
 
 
+def _superdiagonal(a: DiagonalCoords) -> list[Fraction]:
+    """Entries 1/(a_i a_{i+1}) of the form's matrix; ZeroDivisionError on a zero value."""
+    return [1 / (Fraction(x) * Fraction(y)) for x, y in zip(a.values, a.values[1:])]
+
+
 def omega_matrix(a: DiagonalCoords) -> list[list[Fraction]]:
     """Antisymmetric w x w Gram matrix of the form in diagonal coordinates."""
     w = a.width
     m = [[Fraction(0)] * w for _ in range(w)]
-    for i in range(w - 1):
-        v = 1 / (Fraction(a.values[i]) * Fraction(a.values[i + 1]))
+    for i, v in enumerate(_superdiagonal(a)):
         m[i][i + 1] = v
         m[i + 1][i] = -v
     return m
@@ -170,8 +207,16 @@ def exact_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
 
 
 def omega_rank(a: DiagonalCoords) -> int:
-    """Rank of the cluster form: w for even w, w-1 for odd w."""
-    return exact_rank(omega_matrix(a))
+    """Rank of the cluster form: w for even w, w-1 for odd w.
+
+    The matrix is tridiagonal and antisymmetric with nonzero superdiagonal
+    m_i = 1/(a_i a_{i+1}), so its leading 2k block has Pfaffian
+    m_1 m_3 ... m_{2k-1} != 0 and the rank is w - (w mod 2).  The
+    superdiagonal is still built, so a zero value raises ZeroDivisionError as
+    ``exact_rank(omega_matrix(a))``, the elimination oracle, does.
+    """
+    _superdiagonal(a)
+    return a.width - a.width % 2
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +261,7 @@ def polygon_tangent_from_diagonal(a: DiagonalCoords, delta: Sequence):
     """
     n = a.width + 3
     s = a.base % n + 1
-    V = _jet_polygon(a.as_zigzag())
+    V = _source_polygon(a.as_zigzag())
     xs = _brackets(V, [(s, s + i) for i in range(n)])
     ys = _brackets(V, [(s - 1, s + i) for i in range(n)])
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import frieze_lab as fl
+from frieze_lab.cluster import exact_rank, omega_matrix
 from frieze_lab.continuous import potential_y_spread
 from frieze_lab.curves import sf_compose, trig_poly
 from frieze_lab.frieze import SE, SW
@@ -111,8 +112,10 @@ def test_criterion_3_rank_parity():
     rng = random.Random(303)
     for w in range(1, 7):
         _, vals = random_frieze(rng, w)
-        rank = fl.omega_rank(fl.DiagonalCoords(base=0, values=vals))
+        d = fl.DiagonalCoords(base=0, values=vals)
+        rank = fl.omega_rank(d)
         assert rank == (w if w % 2 == 0 else w - 1)
+        assert exact_rank(omega_matrix(d)) == rank
     assert report("3", True, "rank parity w - (w mod 2) for w = 1..6")
 
 

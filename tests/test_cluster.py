@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 from fractions import Fraction
 from fractions import Fraction as Fr
@@ -8,6 +9,7 @@ from typing import Sequence
 import pytest
 
 import frieze_lab as fl
+from frieze_lab.cluster import _jet_polygon, exact_rank, omega_matrix
 from frieze_lab.exceptions import ZeroEntryEncountered
 from frieze_lab.frieze import (
     SE,
@@ -115,6 +117,19 @@ def test_omega_rank_parity():
     assert fl.omega_rank(fl.DiagonalCoords(base=0, values=(Fr(1), Fr(2)))) == 2
     assert fl.omega_rank(fl.DiagonalCoords(base=0, values=(Fr(1), Fr(2), Fr(3)))) == 2
     assert fl.omega_rank(fl.DiagonalCoords(base=0, values=(Fr(1), Fr(2), Fr(3), Fr(5)))) == 4
+
+
+def test_omega_rank_matches_elimination():
+    rng = random.Random(61)
+    for w in range(17):
+        for _ in range(3):
+            vals = tuple(Fr(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(w))
+            d = fl.DiagonalCoords(base=rng.randrange(w + 3), values=vals)
+            assert fl.omega_rank(d) == exact_rank(omega_matrix(d))
+    d = fl.DiagonalCoords(base=0, values=(Fr(2), Fr(0), Fr(3)))
+    for rank in (fl.omega_rank, lambda d: exact_rank(omega_matrix(d))):
+        with pytest.raises(ZeroDivisionError):
+            rank(d)
 
 
 def test_omega_geometric_matches_diagonal():
@@ -231,6 +246,63 @@ def test_chart_jacobian_matches_row_completion():
         values, jac = row_completion_transport(source, target)
         assert fl.chart_jacobian(source, target) == jac
         assert fl.pushforward(source, target, basis(w)[0]).base.values == values
+
+
+def test_polygon_memo_hits_equal_cold_builds():
+    rng = random.Random(89)
+    for w in (4, 5):
+        d = random_diagonal(rng, w)
+        paths = list(all_paths(w, w + 3))
+        _jet_polygon.cache_clear()
+        warm = [fl.chart_jacobian(d, path) for path in paths]
+        assert _jet_polygon.cache_info().misses == 1
+        for path, jac in zip(paths, warm):
+            assert jac == row_completion_transport(d, path)[1]
+            _jet_polygon.cache_clear()
+            assert fl.chart_jacobian(d, path) == jac
+    # two sources interleaved each get their own answer
+    a, b = random_diagonal(rng, 5), random_diagonal(rng, 5)
+    assert a.values != b.values
+    shifted = fl.DiagonalCoords(base=a.base - 3, values=a.values)  # same values, other chart
+    for path in list(all_paths(5, 8))[::7]:
+        for src in (a, b, shifted):
+            values, jac = row_completion_transport(src, path)
+            pushed = fl.pushforward(src, path, basis(5)[0])
+            assert pushed.base.values == values and fl.chart_jacobian(src, path) == jac
+    # list moves and values are not hashable, and the chart still works
+    z = a.as_zigzag()
+    listed = fl.ZigzagCoords(
+        path=fl.ZigzagPath(start=z.path.start, moves=list(z.path.moves), width=5), values=list(z.values)
+    )
+    target = fl.ZigzagPath(start=3, moves=(SW, SE, SE, SW), width=5)
+    assert fl.chart_jacobian(listed, target) == fl.chart_jacobian(z, target)
+
+
+def test_zero_check_matches_row_completion():
+    def outcome(build):
+        try:
+            build()
+        except fl.FriezeLabError as exc:
+            return type(exc), str(exc)
+        return None
+
+    choices = (Fr(-2), Fr(-1), Fr(-1, 2), Fr(1, 2), Fr(1), Fr(2))
+    raised = 0
+    for w in range(4):
+        n = w + 3
+        for vals in itertools.product(choices, repeat=w):
+            for base in range(n):
+                d = fl.DiagonalCoords(base=base, values=vals)
+                z = d.as_zigzag()
+                expected = outcome(lambda: fl.zigzag_to_frieze(z))
+                assert outcome(lambda: fl.chart_jacobian(d, z.path)) == expected
+                raised += expected is not None
+    assert raised > 0
+    # a failure is not cached: the same chart raises the same way again
+    d = fl.DiagonalCoords(base=4, values=(Fr(1), Fr(-1)))
+    first = outcome(lambda: fl.chart_jacobian(d, d.as_zigzag().path))
+    assert first == (ZeroEntryEncountered, "zero entry in row 1, column 1")
+    assert outcome(lambda: fl.chart_jacobian(d, d.as_zigzag().path)) == first
 
 
 def test_zero_entry_off_the_target_path_raises():
