@@ -57,7 +57,6 @@ from .exceptions import (
     GridTooCoarse,
     NonPositiveF,
     NotClosed,
-    QuadratureDisagreement,
     SecondComponentVanishes,
     ZeroEntryEncountered,
 )
@@ -85,7 +84,6 @@ from .jets import Jet, seed_jets
 from .kirillov import (
     field_from_variation,
     kirillov_form_curve,
-    kirillov_form_fields,
     kirillov_form_fields_both,
 )
 from .limit import (
@@ -95,7 +93,6 @@ from .limit import (
     convergence_study,
     discrete_form_value,
     gauge_variation,
-    lift_polygon_tangent,
     quiddity_from_potential,
     sample_polygon,
     tangent_lift,

@@ -140,7 +140,7 @@ def cmd_frieze(args) -> int:
         )
         return 0
     if args.sub == "moduli":
-        if args.quiddity:
+        if args.quiddity is not None:
             frieze = propagate_from_quiddity(_parse_rationals(args.quiddity))
         else:
             frieze = serialize.frieze_from_doc(_read_doc(args.input))
@@ -223,7 +223,7 @@ def cmd_continuum(args) -> int:
             vals, pts = curvature_conformal(frieze, grid=args.grid, h=args.h, domain=box)
             summary = {"max_abs_K_plus_1": float(np.max(np.abs(vals + 1.0)))}
         if args.format == "csv":
-            rows = [(x, y, v) for (x, y), v in zip(pts, vals.tolist())]
+            rows = [(x, y, v) for (x, y), v in zip(pts.tolist(), vals.tolist())]
             _emit(csv_string(("x", "y", "value"), rows), args.output)
         else:
             _emit(dumps({**summary, "grid": args.grid}), args.output)

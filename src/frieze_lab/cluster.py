@@ -116,9 +116,8 @@ def _jet_polygon(path: ZigzagPath, values: tuple) -> tuple:
 
 
 def _source_polygon(z: ZigzagCoords) -> tuple:
-    """The memoized polygon of ``z``, keyed on tuples so that list moves or values work."""
-    p = z.path
-    return _jet_polygon(ZigzagPath(p.start, tuple(p.moves), p.width), tuple(z.values))
+    """The memoized polygon of ``z``, keyed on its path and a tuple of its values."""
+    return _jet_polygon(z.path, tuple(z.values))
 
 
 def _brackets(V: Sequence, pairs) -> list:
@@ -223,13 +222,14 @@ def omega_rank(a: DiagonalCoords) -> int:
 # geometric (polygon) evaluation
 
 
-def _is_zero_vector(v, tol: float) -> bool:
+def _is_zero_vector(v) -> bool:
+    """Exactly zero on rationals, within 1e-9 on floats."""
     if all(isinstance(x, (int, Fraction)) for x in v):
         return v[0] == 0 and v[1] == 0
-    return abs(v[0]) <= tol and abs(v[1]) <= tol
+    return abs(v[0]) <= 1e-9 and abs(v[1]) <= 1e-9
 
 
-def omega_geometric(polygon: Sequence, xi: Sequence, eta: Sequence, gauge_tol: float = 1e-9):
+def omega_geometric(polygon: Sequence, xi: Sequence, eta: Sequence):
     """Cluster form on a polygon with tangents in the xi_{n-1} = 0 gauge.
 
     Evaluates sum_{i=1}^{w-1} of
@@ -245,7 +245,7 @@ def omega_geometric(polygon: Sequence, xi: Sequence, eta: Sequence, gauge_tol: f
     n = len(polygon)
     vlast = polygon[n - 1]
     for t in (xi, eta):
-        if not _is_zero_vector(t[n - 1], gauge_tol):
+        if not _is_zero_vector(t[n - 1]):
             raise GaugeViolation("tangent must vanish at the distinguished vertex")
     a, x, e = ([det2(vlast, v[i]) for i in range(1, n - 2)] for v in (polygon, xi, eta))
     return _pair_sum(a, x, e)

@@ -155,9 +155,10 @@ def _partials(frieze: ContinuousFrieze, x, y, h: float):
     return (on_grid(F, x, y), fy), (fx, mixed_partial(F, x, y, h))
 
 
-def _points(X: np.ndarray, Y: np.ndarray) -> list[tuple[float, float]]:
+def _points(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The grid points as an (n*n, 2) array; row k is (x, y) of the k-th raveled value."""
     X, Y = np.broadcast_arrays(X, Y)
-    return list(zip(X.ravel().tolist(), Y.ravel().tolist()))
+    return np.column_stack((X.ravel(), Y.ravel()))
 
 
 def liouville_residual_field(
@@ -165,8 +166,8 @@ def liouville_residual_field(
     grid: int = 48,
     domain: Domain | None = None,
     h: float = 1e-3,
-) -> tuple[np.ndarray, list[tuple[float, float]]]:
-    """Pointwise |F F_xy - F_x F_y - 1| over the evaluation grid.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise |F F_xy - F_x F_y - 1| over the evaluation grid, and its points.
 
     A frieze of order 1 gives F and its partials in one Taylor call; one of
     order 0 gets second-order central differences with step h (with
@@ -191,8 +192,9 @@ def liouville_residual(
     return float(vals.max())
 
 
-def boundary_check(frieze: ContinuousFrieze, T: float, grid: int = 256) -> dict:
-    """Residuals of the closure conditions along the diagonal and the period."""
+def boundary_check(frieze: ContinuousFrieze, T: float) -> dict:
+    """Residuals of the closure conditions along the diagonal and the period (256 nodes over 2T)."""
+    grid = 256
     xs = periodic_nodes(2.0 * T, grid, 0.5)
     us = np.linspace(T / 8.0, T - T / 8.0, 17)
     (diag, fy), (fx, _) = _partials(frieze, xs, xs, 1e-5)
@@ -206,13 +208,14 @@ def boundary_check(frieze: ContinuousFrieze, T: float, grid: int = 256) -> dict:
     }
 
 
-def is_closed_frieze(frieze: ContinuousFrieze, T: float, tol: float = 1e-8) -> bool:
-    res = boundary_check(frieze, T)
-    return all(v <= tol for v in res.values())
+def is_closed_frieze(frieze: ContinuousFrieze, T: float) -> bool:
+    """Every residual of ``boundary_check`` is at most 1e-8."""
+    return all(v <= 1e-8 for v in boundary_check(frieze, T).values())
 
 
-def _fxx_over_f(frieze: ContinuousFrieze, x, h: float) -> np.ndarray:
-    """F_xx/F by second differences in x; axis 0 runs over y = x + (0.3, 0.5, 0.7) T."""
+def _fxx_over_f(frieze: ContinuousFrieze, x) -> np.ndarray:
+    """F_xx/F by second differences in x with step 1e-4; axis 0 runs over y = x + (0.3, 0.5, 0.7) T."""
+    h = 1e-4
     T = frieze.period
     F = frieze.F
     x = np.asarray(x, dtype=float)
@@ -226,33 +229,29 @@ def _fxx_over_f(frieze: ContinuousFrieze, x, h: float) -> np.ndarray:
     return fxx / base
 
 
-def potential_from_frieze(
-    frieze: ContinuousFrieze,
-    c: float = 0.5,
-    h: float = 1e-4,
-    tol_y: float = 1e-6,
-) -> HillPotential:
+def potential_from_frieze(frieze: ContinuousFrieze, c: float = 0.5) -> HillPotential:
     """Recover kappa(x) = F_xx(x, y) / F(x, y) from second differences of F.
 
     The ratio is independent of y for a genuine frieze; we verify that at
-    three separated y per point and fail loudly otherwise.  The returned
-    potential is in curvature convention (u'' = kappa u, i.e. k = -2c kappa).
+    three separated y per point, to a spread of 1e-6, and fail loudly
+    otherwise.  The returned potential is in curvature convention
+    (u'' = kappa u, i.e. k = -2c kappa).
     """
     if frieze.period is None:
         raise ValueError("closed friezes only")
 
     def kappa(x):
-        vals = _fxx_over_f(frieze, x, h)
-        if np.any(np.ptp(vals, axis=0) > tol_y):
+        vals = _fxx_over_f(frieze, x)
+        if np.any(np.ptp(vals, axis=0) > 1e-6):
             raise DegenerateF("recovered potential depends on y")
         return vals[1]
 
     return HillPotential(kappa=kappa, c=c, period=frieze.period)
 
 
-def potential_y_spread(frieze: ContinuousFrieze, xs, h: float = 1e-4) -> float:
+def potential_y_spread(frieze: ContinuousFrieze, xs) -> float:
     """Max spread of F_xx/F over three y values; diagnostic for y-independence."""
-    vals = _fxx_over_f(frieze, xs, h)
+    vals = _fxx_over_f(frieze, xs)
     return float(np.max(np.ptp(vals, axis=0), initial=0.0))
 
 
@@ -261,8 +260,8 @@ def curvature_conformal(
     grid: int = 32,
     domain: Domain | None = None,
     h: float = 1e-3,
-) -> tuple[np.ndarray, list[tuple[float, float]]]:
-    """Gaussian curvature of the metric -4 F^{-2} dz dzbar on a grid.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian curvature of the metric -4 F^{-2} dz dzbar on a grid, and its points.
 
     In the two frieze variables the coordinate derivatives d/dz, d/dzbar act
     as d/dx, d/dy (one quarter of the Laplacian after passing to real and

@@ -143,10 +143,6 @@ def sf_reciprocal(b: SmoothFunction) -> SmoothFunction:
     return SmoothFunction(taylor, b.order)
 
 
-def sf_quotient(a: SmoothFunction, b: SmoothFunction) -> SmoothFunction:
-    return sf_product(a, sf_reciprocal(b))
-
-
 def sf_compose(f: SmoothFunction, phi: SmoothFunction) -> SmoothFunction:
     """f(phi(x)) by Faa di Bruno's formula h_k = sum_j f_j(phi) B_{k,j}.
 
@@ -199,12 +195,14 @@ def trig_poly(period: float, harmonics: dict[int, tuple[float, float]]) -> Smoot
     return SmoothFunction(taylor, 4)
 
 
-def from_callable(fn: Callable[[float], float], h: float = 1e-4) -> SmoothFunction:
+def from_callable(fn: Callable[[float], float]) -> SmoothFunction:
     """Finite-difference fallback for user-supplied elementwise functions.
 
-    Derivative accuracy degrades with order (h^2 truncation against 1/h^k
-    roundoff); prefer analytic evaluators whenever they exist.
+    Central differences with step h = 1e-4; derivative accuracy degrades with
+    order (h^2 truncation against 1/h^k roundoff), so prefer analytic
+    evaluators whenever they exist.
     """
+    h = 1e-4
 
     def d1(x):
         return (fn(x + h) - fn(x - h)) / (2 * h)
@@ -250,7 +248,7 @@ def mobius_transform(f: SmoothFunction, coeffs: tuple[float, float, float, float
         raise ValueError("singular coefficient matrix")
     num = sf_combine([(a, f), (b, sf_const(1.0))])
     den = sf_combine([(c, f), (d, sf_const(1.0))])
-    return sf_quotient(num, den)
+    return sf_product(num, sf_reciprocal(den))
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +324,11 @@ class ProjectiveCurve:
     inv_d1: SmoothFunction | None = None
     family: str = "custom"
 
-    def min_derivative(self, grid: int = 512) -> float:
-        xs = periodic_nodes(1.0 if self.period is None else self.period, grid)
-        return float(np.min(on_grid(self.f.d1, xs)))
-
-    def require_admissible(self, grid: int = 512) -> None:
+    def require_admissible(self) -> None:
+        """Raise DerivativeVanishes unless f' > 0 at 512 nodes of one period."""
+        xs = periodic_nodes(1.0 if self.period is None else self.period, 512)
         # NaN fails too: it compares false with everything
-        if not self.min_derivative(grid) > 0.0:
+        if not np.min(on_grid(self.f.d1, xs)) > 0.0:
             raise DerivativeVanishes("curve is not orientation preserving (f' <= 0)")
 
 
@@ -483,8 +479,9 @@ def curve_family(name: str, s: float = 0.0, c: float = 0.5) -> ProjectiveCurve:
     raise ValueError(f"unknown curve family {name!r}")
 
 
-def derivative_consistency(f: SmoothFunction, xs, h: float = 1e-4) -> float:
-    """Max relative deviation of analytic derivatives from central differences."""
+def derivative_consistency(f: SmoothFunction, xs) -> float:
+    """Max relative deviation of analytic derivatives from central differences (step 1e-4)."""
+    h = 1e-4
     x = np.asarray(xs, dtype=float)
     fv, d1, d2 = f.taylor(x, 2)
     up, down = f(x + h), f(x - h)

@@ -37,9 +37,5 @@ class NonPositiveF(FriezeLabError):
     """Curvature evaluation requires F > 0 on the region."""
 
 
-class QuadratureDisagreement(FriezeLabError):
-    """The two integral expressions for the orbit form disagree."""
-
-
 class SecondComponentVanishes(FriezeLabError):
     """Lifted-curve second component vanished at a quadrature node."""

@@ -219,7 +219,9 @@ class ZigzagPath:
     ``start`` is the left e-index of the row-1 vertex, i.e. the first vertex
     is e(start, start+2).  A SE move sends e(i, j) to e(i, j+1), a SW move to
     e(i-1, j).  ``width`` is stored explicitly so the empty path of a width-0
-    frieze stays distinguishable from a width-1 path.
+    frieze stays distinguishable from a width-1 path.  ``moves`` is stored as
+    a tuple, so a path built from a list equals and hashes like the same path
+    built from a tuple.
     """
 
     start: int
@@ -227,6 +229,7 @@ class ZigzagPath:
     width: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "moves", tuple(self.moves))
         w = len(self.moves) + 1 if self.width is None else self.width
         object.__setattr__(self, "width", w)
         if w > 0 and len(self.moves) != w - 1:

@@ -102,8 +102,9 @@ def hill_solve(pot: HillPotential, steps: int | None = None) -> tuple[HillSoluti
     return a, np.array([[a.ys[-1], b.ys[-1]], [a.dys[-1], b.dys[-1]]])
 
 
-def is_antiperiodic(m: np.ndarray, tol: float = 1e-6) -> bool:
-    return bool(np.max(np.abs(m + np.eye(2))) <= tol)
+def is_antiperiodic(m: np.ndarray) -> bool:
+    """The monodromy matrix is -Id to 1e-6 entrywise."""
+    return bool(np.max(np.abs(m + np.eye(2))) <= 1e-6)
 
 
 def count_zeros(samples: np.ndarray) -> int:

@@ -26,25 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from .curves import ProjectiveCurve, SmoothFunction, on_grid, sf_derivative, sf_product, sf_reciprocal
-from .exceptions import DerivativeVanishes, QuadratureDisagreement
+from .exceptions import DerivativeVanishes
 from .hill import HillPotential
 from .quadrature import periodic_nodes, periodic_trapezoid, resolution
-
-
-def kirillov_form_fields(
-    pot: HillPotential,
-    X: SmoothFunction,
-    Y: SmoothFunction,
-    nodes: int | None = None,
-    agreement_tol: float = 1e-8,
-) -> float:
-    val1, val2 = kirillov_form_fields_both(pot, X, Y, nodes)
-    scale = max(1.0, abs(val1), abs(val2))
-    if abs(val1 - val2) > agreement_tol * scale:
-        raise QuadratureDisagreement(
-            f"field-form expressions disagree: {val1!r} vs {val2!r}"
-        )
-    return val1
 
 
 def kirillov_form_fields_both(

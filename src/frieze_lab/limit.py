@@ -9,10 +9,12 @@ the underlying f lifts to a tangent curve along Gamma; sampled the same way
 and gauge-fixed to vanish at the distinguished vertex V_{n-1}, it feeds the
 geometric cluster-form sum.  The lift and its tangent are plane curves given
 by their Taylor evaluators (``curves.PlaneCurve``); one lift call per grid
-gives the polygon and, with xi's rows, each tangent.  Polygons and tangents
-are n x 2 arrays (row i is V_i or xi_i); the sum is one array expression over
-brackets against V_{n-1}, and its end terms i = 0 and i = w are the boundary
-cells.  Its limit is
+gives the polygon and, with xi's rows, each tangent.  Two primitives carry
+the bridge: ``sample_polygon`` returns the polygon and the gauged tangents as
+n x 2 arrays (row i is V_i or xi_i), and ``discrete_form_value`` evaluates
+the sum as one array expression over brackets against V_{n-1}, returning the
+interior cells and, apart, the end terms i = 0 and i = w (the boundary
+cells).  The interior sum's limit is
 
     int_0^T (xi_2 eta_2' - xi_2' eta_2) / Gamma_2^2 dx
 
@@ -52,11 +54,6 @@ class DiscretizationScheme:
     @property
     def eps(self) -> float:
         return self.period / self.n
-
-
-def sample_polygon(lift: LiftedCurve, scheme: DiscretizationScheme) -> np.ndarray:
-    """The n x 2 array whose row i is V_i = eps^{-1/2} Gamma(i eps)."""
-    return _sample(lift, scheme)[0]
 
 
 def unit_determinant_defect(polygon: Sequence[tuple[float, float]]) -> float:
@@ -125,17 +122,17 @@ def tangent_lift(curve: ProjectiveCurve, xi: SmoothFunction) -> TangentLiftCurve
     return TangentLiftCurve(lambda x, m: _tangent_rows(lift.taylor(x, m), xi.taylor(x, m + 1)))
 
 
-def gauge_variation(curve: ProjectiveCurve, xi: SmoothFunction, x0: float = 0.0) -> SmoothFunction:
-    """Subtract a Moebius direction so that xi(x0) = xi'(x0) = 0.
+def gauge_variation(curve: ProjectiveCurve, xi: SmoothFunction) -> SmoothFunction:
+    """Subtract a Moebius direction so that xi(0) = xi'(0) = 0.
 
     Infinitesimal Moebius motions act on f as alpha + beta f + gamma f^2 and
     lie in the kernel of the orbit form; removing the affine part (gamma = 0)
-    pins the lifted tangent to zero at x0, which regularizes the continuum
-    integrand at the zero of Gamma_2 and matches the polygon gauge.
+    pins the lifted tangent to zero at the basepoint, which regularizes the
+    continuum integrand at the zero of Gamma_2 and matches the polygon gauge.
     """
     f = curve.f
-    f0, fp0 = f.taylor(x0, 1)
-    xi0, xi1 = xi.taylor(x0, 1)
+    f0, fp0 = f.taylor(0.0, 1)
+    xi0, xi1 = xi.taylor(0.0, 1)
     beta = xi1 / fp0
     alpha = xi0 - beta * f0
     return sf_combine([(1.0, xi), (-alpha, sf_const(1.0)), (-beta, f)])
@@ -153,21 +150,15 @@ def _sl2_fit(v: tuple[float, float], w: tuple[float, float]) -> np.ndarray:
     return np.array([[sol[0], sol[1]], [sol[2], -sol[0]]])
 
 
-def lift_polygon_tangent(
-    curve: ProjectiveCurve, xi: SmoothFunction, scheme: DiscretizationScheme
-) -> np.ndarray:
-    """Sampled tangent lift (n x 2), gauge-corrected to vanish exactly at V_{n-1}.
+def sample_polygon(lift: LiftedCurve, scheme: DiscretizationScheme, *xis: SmoothFunction) -> list[np.ndarray]:
+    """The polygon V_i = eps^{-1/2} Gamma(i eps), then the gauged tangent of each xi.
 
-    The correction subtracts the sl2 motion M V_i with M fitted to the raw
-    value at the distinguished vertex; sl2 motions preserve the bracket
-    constraint identically and change no frieze data, so this is a pure gauge
-    choice.
+    All are n x 2 arrays, built from one lift call.  Each tangent is the
+    sampled tangent lift, corrected to vanish exactly at V_{n-1}: the
+    correction subtracts the sl2 motion M V_i with M fitted to the raw value
+    at the distinguished vertex; sl2 motions preserve the bracket constraint
+    identically and change no frieze data, so this is a pure gauge choice.
     """
-    return _sample(lift_curve(curve), scheme, xi)[1]
-
-
-def _sample(lift: LiftedCurve, scheme: DiscretizationScheme, *xis: SmoothFunction) -> list[np.ndarray]:
-    """The polygon and the gauged tangent of each xi (n x 2 arrays) from one lift call."""
     w, xs = scheme.eps**-0.5, periodic_nodes(scheme.period, scheme.n)
     gam = lift.taylor(xs, 0)
     verts = w * gam[0]
@@ -190,29 +181,20 @@ def constraint_defect(
     return float(np.max(np.abs(gap), initial=0.0))
 
 
-def _cell_terms(polygon, xi, eta) -> np.ndarray:
-    """Cells i = 0..w of the geometric cluster-form sum, as one array.
+def discrete_form_value(polygon, xi, eta) -> tuple[float, float]:
+    """The geometric cluster-form sum over cells 1..w-1, and the two cells outside it.
 
-    Cell i is (x_i e_{i+1} - x_{i+1} e_i) / (a_i a_{i+1}) over the brackets
-    a = [V_{n-1}, V], x = [V_{n-1}, xi] and e = [V_{n-1}, eta]; cells 1..w-1
-    are the terms of cluster.omega_geometric.
+    Cell i = 0..w is (x_i e_{i+1} - x_{i+1} e_i) / (a_i a_{i+1}) over the
+    brackets a = [V_{n-1}, V], x = [V_{n-1}, xi] and e = [V_{n-1}, eta].
+    Cells 1..w-1 are the terms of cluster.omega_geometric; their sum is the
+    interior part.  The boundary part is the sum of cells 0 and w.
     """
     v, x, e = (np.asarray(p, dtype=float) for p in (polygon, xi, eta))
     if not np.all(np.abs([x[-1], e[-1]]) <= 1e-9):
         raise GaugeViolation("tangent must vanish at the distinguished vertex")
     a, x, e = (det2(v[-1], p[:-1].T) for p in (v, x, e))
-    return (x[:-1] * e[1:] - x[1:] * e[:-1]) / (a[:-1] * a[1:])
-
-
-def discrete_form_value(polygon, xi, eta) -> float:
-    """The geometric cluster-form sum over cells 1..w-1."""
-    return float(np.sum(_cell_terms(polygon, xi, eta)[1:-1]))
-
-
-def boundary_cells_value(polygon, xi, eta) -> float:
-    """Contribution of the two cells (i = 0 and i = w) outside the main sum."""
-    terms = _cell_terms(polygon, xi, eta)
-    return float(terms[0] + terms[-1])
+    terms = (x[:-1] * e[1:] - x[1:] * e[:-1]) / (a[:-1] * a[1:])
+    return float(np.sum(terms[1:-1])), float(terms[0] + terms[-1])
 
 
 def continuum_integral(
@@ -317,9 +299,8 @@ def convergence_study(
     records = []
     for n in ns:
         scheme = DiscretizationScheme(n=n, period=curve.period)
-        polygon, pxi, peta = _sample(lift, scheme, xi_g, eta_g)
-        terms = _cell_terms(polygon, pxi, peta)
-        disc = float(np.sum(terms[1:-1]))
+        polygon, pxi, peta = sample_polygon(lift, scheme, xi_g, eta_g)
+        disc, boundary = discrete_form_value(polygon, pxi, peta)
         records.append(
             ConvergenceRecord(
                 n=n,
@@ -327,7 +308,7 @@ def convergence_study(
                 err_integral=abs(disc - integral),
                 err_kirillov=abs(disc - scaled),
                 det_defect=unit_determinant_defect(polygon),
-                boundary_cells=float(terms[0] + terms[-1]),
+                boundary_cells=boundary,
             )
         )
     return ConvergenceReport(

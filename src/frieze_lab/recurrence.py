@@ -79,23 +79,17 @@ def monodromy(eq: DiscreteHillEquation) -> tuple:
     return top, bottom
 
 
-def is_minus_identity(m, tol: float | None = None) -> bool:
-    """Closure test M == -Id; exact unless a float tolerance applies.
-
-    With no explicit tolerance, exact scalars are compared exactly and floats
-    entrywise to 1e-10.
-    """
+def is_minus_identity(m) -> bool:
+    """Closure test M == -Id: exact on rationals, entrywise to 1e-10 on floats."""
     target = ((-1, 0), (0, -1))
     entries = [m[r][c] for r in range(2) for c in range(2)]
-    if tol is None:
-        tol = 0.0 if all(isinstance(x, (int, Fraction)) for x in entries) else 1e-10
-    if tol == 0.0:
+    if all(isinstance(x, (int, Fraction)) for x in entries):
         return all(m[r][c] == target[r][c] for r in range(2) for c in range(2))
-    return all(abs(m[r][c] - target[r][c]) <= tol for r in range(2) for c in range(2))
+    return all(abs(m[r][c] - target[r][c]) <= 1e-10 for r in range(2) for c in range(2))
 
 
-def is_closed(eq: DiscreteHillEquation, tol: float | None = None) -> bool:
-    return is_minus_identity(monodromy(eq), tol)
+def is_closed(eq: DiscreteHillEquation) -> bool:
+    return is_minus_identity(monodromy(eq))
 
 
 # ---------------------------------------------------------------------------

@@ -68,22 +68,8 @@ def frieze_from_doc(doc: dict) -> FriezePattern:
     return frieze
 
 
-def equation_to_doc(c: Sequence) -> dict:
-    return {"n": len(c), "quiddity": [scalar_to_json(x) for x in c]}
-
-
 def polygon_to_doc(polygon) -> dict:
     return {"vertices": [[scalar_to_json(v[0]), scalar_to_json(v[1])] for v in polygon]}
-
-
-def form_value_to_doc(base, xi, eta, value) -> dict:
-    """Wire format for a 2-form evaluation at a chart point."""
-    return {
-        "base": [scalar_to_json(x) for x in base],
-        "xi": [scalar_to_json(x) for x in xi],
-        "eta": [scalar_to_json(x) for x in eta],
-        "value": scalar_to_json(value),
-    }
 
 
 def dumps(doc: dict) -> str:

@@ -214,6 +214,19 @@ def test_moduli_from_document(capsys, tmp_path):
     assert len(json.loads(out)["cross_ratios"]) == 2
 
 
+def test_moduli_empty_quiddity_exit_2_without_stdin(capsys, monkeypatch):
+    # an empty --quiddity is an empty row, as in gen, not a cue to read stdin
+    class Unread(io.StringIO):
+        def read(self, *args):
+            raise AssertionError("stdin was read")
+
+    monkeypatch.setattr("sys.stdin", Unread())
+    code, out, err = run(capsys, "frieze", "moduli", "--quiddity", "")
+    assert code == 2 and "Traceback" not in err
+    assert json.loads(out) == {"error": "ValueError: period must be at least 3"}
+    assert run(capsys, "frieze", "gen", "--quiddity", "") == (code, out, err)
+
+
 def test_limit_study_json_format(capsys):
     code, out, _ = run(capsys, "limit", "study", "--n", "100,200,400", "--nodes", "1024",
                        "--format", "json")

@@ -269,13 +269,30 @@ def test_polygon_memo_hits_equal_cold_builds():
             values, jac = row_completion_transport(src, path)
             pushed = fl.pushforward(src, path, basis(5)[0])
             assert pushed.base.values == values and fl.chart_jacobian(src, path) == jac
-    # list moves and values are not hashable, and the chart still works
+    # list values are not hashable, and the chart still works
     z = a.as_zigzag()
     listed = fl.ZigzagCoords(
         path=fl.ZigzagPath(start=z.path.start, moves=list(z.path.moves), width=5), values=list(z.values)
     )
     target = fl.ZigzagPath(start=3, moves=(SW, SE, SE, SW), width=5)
     assert fl.chart_jacobian(listed, target) == fl.chart_jacobian(z, target)
+
+
+def test_list_moves_path_equals_tuple_path():
+    z = fl.DiagonalCoords(base=7, values=(Fr(2), Fr(1, 3), Fr(5), Fr(3, 2), Fr(4))).as_zigzag()
+    moves = tuple(z.path.moves)
+    listed = fl.ZigzagPath(start=z.path.start, moves=list(moves), width=5)
+    tupled = fl.ZigzagPath(start=z.path.start, moves=moves, width=5)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert listed.moves == moves
+    # the memo key is the path itself, so list moves reuse the tuple chart's polygon
+    target = fl.ZigzagPath(start=3, moves=(SW, SE, SE, SW), width=5)
+    _jet_polygon.cache_clear()
+    first = fl.pushforward(ZigzagCoords(path=tupled, values=z.values), target, basis(5)[1])
+    assert _jet_polygon.cache_info().hits == 0
+    second = fl.pushforward(ZigzagCoords(path=listed, values=z.values), target, basis(5)[1])
+    assert _jet_polygon.cache_info().hits == 1 and _jet_polygon.cache_info().misses == 1
+    assert second == first
 
 
 def test_zero_check_matches_row_completion():

@@ -148,7 +148,7 @@ def test_generic_lift_rejects_decreasing_f():
 def test_from_callable_fd_fallback():
     from frieze_lab.curves import from_callable
 
-    f = from_callable(math.sin, h=1e-4)
+    f = from_callable(math.sin)
     assert abs(f.d1(0.3) - math.cos(0.3)) < 1e-7
     assert abs(f.d2(0.3) + math.sin(0.3)) < 1e-6
     assert abs(f.d3(0.3) + math.cos(0.3)) < 1e-3

@@ -21,7 +21,7 @@ def test_family_potential_antiperiodic():
         lift = fl.lift_curve(cur)
         pot = HillPotential(kappa=lift.kappa, c=0.5, period=math.pi, dkappa=cur.dkappa)
         _, m = fl.hill_solve(pot, steps=4096)
-        assert fl.is_antiperiodic(m, tol=1e-6)
+        assert fl.is_antiperiodic(m)
 
 
 def test_zero_potential_not_antiperiodic():

@@ -43,7 +43,7 @@ def test_monodromy_golden_ratio():
     # constant coefficient 2cos(pi/5): rotation number pi/5, so M^... = -Id at n=5
     phi = 2.0 * math.cos(math.pi / 5.0)
     eq = DiscreteHillEquation(c=(phi,) * 5)
-    assert fl.is_minus_identity(fl.monodromy(eq), tol=1e-10)
+    assert fl.is_minus_identity(fl.monodromy(eq))
 
 
 def test_monodromy_parabolic_never_closes():

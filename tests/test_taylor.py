@@ -200,7 +200,8 @@ def test_lift_polygon_tangent_trig_calls(monkeypatch):
     cur = fl.tan_family(0.2, c=0.5)
     xi = fl.gauge_variation(cur, trig_poly(math.pi, {0: (0.25, 0.0), 1: (0.0, 0.5), 2: (-0.25, 0.0)}))
     scheme = fl.DiscretizationScheme(n=400, period=math.pi)
-    assert 0 < count_trig_calls(monkeypatch, lambda: fl.lift_polygon_tangent(cur, xi, scheme)) <= 20
+    lift = fl.lift_curve(cur)
+    assert 0 < count_trig_calls(monkeypatch, lambda: fl.sample_polygon(lift, scheme, xi)) <= 20
 
 
 def test_liouville_field_trig_calls(monkeypatch):
