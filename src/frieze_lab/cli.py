@@ -44,7 +44,7 @@ from .frieze import (
     report_is_valid,
     zigzag_to_frieze,
 )
-from .hill import HillPotential, hill_solve, is_antiperiodic, is_nonoscillating
+from .hill import HillPotential, dev_from_minus_id, hill_solve, is_antiperiodic, is_nonoscillating
 from .kirillov import field_from_variation, kirillov_form_curve, kirillov_form_fields_both
 from .limit import convergence_study
 from .quadrature import periodic_nodes
@@ -193,7 +193,7 @@ def cmd_continuum(args) -> int:
             dumps(
                 {
                     "monodromy": [[mono[0][0], mono[0][1]], [mono[1][0], mono[1][1]]],
-                    "max_dev_from_minus_id": float(np.max(np.abs(np.array(mono) + np.eye(2)))),
+                    "max_dev_from_minus_id": dev_from_minus_id(mono),
                     "antiperiodic": is_antiperiodic(mono),
                     "nonoscillating": is_nonoscillating(pot, steps=args.steps),
                 }

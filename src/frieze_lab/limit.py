@@ -35,6 +35,7 @@ from .curves import (
     LiftedCurve, PlaneCurve, ProjectiveCurve, SmoothFunction, lift_curve, on_grid, sf_combine, sf_const,
 )
 from .exceptions import GaugeViolation, SecondComponentVanishes
+from .hill import dev_from_minus_id
 from .kirillov import kirillov_form_curve
 from .quadrature import periodic_nodes, periodic_trapezoid, resolution
 from .recurrence import DiscreteHillEquation, det2, monodromy
@@ -82,7 +83,7 @@ def scaled_monodromy_defect(eq: DiscreteHillEquation, period: float) -> float:
     m = monodromy(eq)
     b = np.array([[1.0, 0.0], [1.0 / eps, -1.0 / eps]])
     scaled = b @ np.array(m, dtype=float) @ np.linalg.inv(b)
-    return float(np.max(np.abs(scaled + np.eye(2))))
+    return dev_from_minus_id(scaled)
 
 
 # ---------------------------------------------------------------------------

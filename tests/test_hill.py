@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import frieze_lab as fl
-from frieze_lab.hill import HillPotential, _fundamental, count_zeros, potential_from_constant
+from frieze_lab import hill
+from frieze_lab.curves import on_grid
+from frieze_lab.hill import HillPotential, HillSolution, _fundamental, count_zeros, potential_from_constant
 
 
 def test_harmonic_oscillator_monodromy():
@@ -113,9 +115,9 @@ def _count_zeros_loop(samples):
     return len(events)
 
 
-def _outcome(count, samples):
+def _outcome(check, *args):
     try:
-        return count(samples)
+        return check(*args)
     except fl.GridTooCoarse:
         return "GridTooCoarse"
 
@@ -134,3 +136,84 @@ def test_count_zeros_matches_loop():
         outcomes.append(expected)
     assert outcomes.count("GridTooCoarse") > 1000
     assert {0, 1, 2, 3} <= set(outcomes)
+
+
+def _fundamental_loop(kappa, T, steps, dtype=float):
+    """_fundamental as a loop of RK4 steps: the reference for the product.
+
+    Returns the states of both solutions as rows (u1, u1', u2, u2'), computed
+    in ``dtype`` from the same float h and kappa samples.
+    """
+    h = dtype(T / steps)
+    xs = np.arange(2 * steps + 1) * (0.5 * (T / steps))
+    k = [dtype(v) for v in on_grid(kappa, xs).tolist()]
+
+    def step(u, v, k0, kh, k1):
+        k1u, k1v = v, k0 * u
+        k2u = v + 0.5 * h * k1v
+        k2v = kh * (u + 0.5 * h * k1u)
+        k3u = v + 0.5 * h * k2v
+        k3v = kh * (u + 0.5 * h * k2u)
+        k4u = v + h * k3v
+        k4v = k1 * (u + h * k3u)
+        return (
+            u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u),
+            v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v),
+        )
+
+    a, da, b, db = dtype(1), dtype(0), dtype(0), dtype(1)
+    states = [(a, da, b, db)]
+    for i in range(steps):
+        k0, kh, k1 = k[2 * i], k[2 * i + 1], k[2 * i + 2]
+        a, da = step(a, da, k0, kh, k1)
+        b, db = step(b, db, k0, kh, k1)
+        states.append((a, da, b, db))
+    return np.array(states, dtype=dtype).T
+
+
+def _loop_solutions(kappa, T, steps):
+    """The loop's states as _fundamental's pair of HillSolutions."""
+    a, da, b, db = _fundamental_loop(kappa, T, steps)
+    xs = np.arange(steps + 1) * (T / steps)
+    return HillSolution(xs, a, da), HillSolution(xs, b, db)
+
+
+# constant potentials with fast (-400), antiperiodic (-9, -1), affine (0) and
+# growing (2) solutions, and the tan family's potentials
+KAPPAS = [(f"const {c}", lambda x, c=c: c) for c in (-400.0, -9.0, -1.0, 0.0, 2.0)] + [
+    (f"tan {s}", fl.lift_curve(fl.tan_family(s, c=0.5)).kappa) for s in (0.0, 0.2, -0.3, 0.45)
+]
+WIDE = np.longdouble if np.finfo(np.longdouble).eps < np.finfo(float).eps else None
+
+
+@pytest.mark.skipif(WIDE is None, reason="no float type wider than float64 here")
+@pytest.mark.parametrize("steps", [40, 63, 64, 100, 1000, 4096, 4099, 65536])
+def test_fundamental_matches_loop(steps):
+    # The reference is the loop in extended precision: the float loop drifts
+    # from it by up to 3.3e-12 (kappa = 0, 65536 steps), as every step adds
+    # the same rounded increment, so it cannot pin the product to 3e-14.
+    for name, kappa in KAPPAS:
+        a, b = _fundamental(kappa, math.pi, steps)
+        states = np.array([a.ys, a.dys, b.ys, b.dys])
+        wide = _fundamental_loop(kappa, math.pi, steps, WIDE)
+        scale = max(1.0, float(np.max(np.abs(wide))))
+        dev = float(np.max(np.abs(states - wide)))
+        assert dev <= 3e-14 * scale, (name, dev, scale)
+        # where the monodromy is -Id, the end state is at least as close to it
+        # as the float loop's, to rounding
+        m_loop = _fundamental_loop(kappa, math.pi, steps)[:, -1].reshape(2, 2).T
+        if fl.is_antiperiodic(m_loop):
+            m = states[:, -1].reshape(2, 2).T
+            assert fl.dev_from_minus_id(m) <= fl.dev_from_minus_id(m_loop) + 1e-14, name
+
+
+def test_nonoscillation_verdicts_match_loop(monkeypatch):
+    # kappa = -1600 has 40 zeros per period, too close for 64 steps
+    kappas = [kappa for _, kappa in KAPPAS] + [lambda x: -1600.0]
+    cases = [(HillPotential(kappa=kappa, c=0.5, period=math.pi), steps)
+             for kappa in kappas for steps in (64, 256, 2048, 4096)]
+    new = [_outcome(fl.is_nonoscillating, pot, steps) for pot, steps in cases]
+    monkeypatch.setattr(hill, "_fundamental", _loop_solutions)
+    old = [_outcome(fl.is_nonoscillating, pot, steps) for pot, steps in cases]
+    assert new == old
+    assert {True, False, "GridTooCoarse"} <= set(old)
