@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 import frieze_lab as fl
-from frieze_lab.hill import HillPotential
+from frieze_lab.hill import HillPotential, dev_from_minus_id
 
 T = math.pi
 
@@ -40,7 +40,7 @@ for s in (0.1, 0.3):
     p2 = HillPotential(kappa=fl.lift_curve(c2).kappa, c=0.5, period=T, dkappa=c2.dkappa)
     _, mono = fl.hill_solve(p2, steps=2048)
     print(f"  s = {s}: residual {fl.liouville_residual(F2, grid=32):.2e},"
-          f" monodromy dev {fl.dev_from_minus_id(mono):.2e},"
+          f" monodromy dev {dev_from_minus_id(mono):.2e},"
           f" non-oscillating {fl.is_nonoscillating(p2, steps=2048)}")
 
 print("\nCurvature of -4 F^(-2) dz dzbar (expect -1):")

@@ -75,7 +75,6 @@ from .frieze import (
 )
 from .hill import (
     HillPotential,
-    dev_from_minus_id,
     hill_solve,
     is_antiperiodic,
     is_nonoscillating,

@@ -19,7 +19,8 @@ forms all the prefix products as arrays, in blocks of about sqrt(steps)/2
 steps, and keeps each one as its difference from I.  Its states agree with
 the same RK4 steps taken one by one in extended precision to 3e-14 times the
 largest state entry (or 1, if larger) for the potentials and step counts of
-tests/test_hill.py, up to 65536 steps.
+tests/test_hill.py, up to 65536 steps; the same steps in float64 drift from
+that reference by up to 1e-12 times the same scale.
 """
 
 from __future__ import annotations

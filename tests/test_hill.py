@@ -186,25 +186,29 @@ KAPPAS = [(f"const {c}", lambda x, c=c: c) for c in (-400.0, -9.0, -1.0, 0.0, 2.
 WIDE = np.longdouble if np.finfo(np.longdouble).eps < np.finfo(float).eps else None
 
 
-@pytest.mark.skipif(WIDE is None, reason="no float type wider than float64 here")
 @pytest.mark.parametrize("steps", [40, 63, 64, 100, 1000, 4096, 4099, 65536])
 def test_fundamental_matches_loop(steps):
-    # The reference is the loop in extended precision: the float loop drifts
-    # from it by up to 3.3e-12 (kappa = 0, 65536 steps), as every step adds
-    # the same rounded increment, so it cannot pin the product to 3e-14.
+    # Against the float loop the bound is 2e-12 relative: that loop drifts by
+    # up to 3.3e-12 (1.0e-12 relative, kappa = 0, 65536 steps), as every step
+    # adds the same rounded increment.  Where a wider float type exists, the
+    # loop run in it pins the product to 3e-14 relative.
     for name, kappa in KAPPAS:
         a, b = _fundamental(kappa, math.pi, steps)
         states = np.array([a.ys, a.dys, b.ys, b.dys])
-        wide = _fundamental_loop(kappa, math.pi, steps, WIDE)
-        scale = max(1.0, float(np.max(np.abs(wide))))
-        dev = float(np.max(np.abs(states - wide)))
-        assert dev <= 3e-14 * scale, (name, dev, scale)
+        loop = _fundamental_loop(kappa, math.pi, steps)
+        scale = max(1.0, float(np.max(np.abs(loop))))
+        dev = float(np.max(np.abs(states - loop)))
+        assert dev <= 2e-12 * scale, (name, dev, scale)
+        if WIDE is not None:
+            wide = _fundamental_loop(kappa, math.pi, steps, WIDE)
+            dev = float(np.max(np.abs(states - wide)))
+            assert dev <= 3e-14 * scale, (name, dev, scale)
         # where the monodromy is -Id, the end state is at least as close to it
         # as the float loop's, to rounding
-        m_loop = _fundamental_loop(kappa, math.pi, steps)[:, -1].reshape(2, 2).T
+        m_loop = loop[:, -1].reshape(2, 2).T
         if fl.is_antiperiodic(m_loop):
             m = states[:, -1].reshape(2, 2).T
-            assert fl.dev_from_minus_id(m) <= fl.dev_from_minus_id(m_loop) + 1e-14, name
+            assert hill.dev_from_minus_id(m) <= hill.dev_from_minus_id(m_loop) + 1e-14, name
 
 
 def test_nonoscillation_verdicts_match_loop(monkeypatch):
