@@ -11,6 +11,9 @@ stdout), 3 acceptance-criterion failure (report still emitted).  Output is
 deterministic for a fixed invocation; files are written atomically.  The
 environment variable FRIEZE_LAB_NODES overrides the default quadrature/ODE
 resolution.
+
+The `frieze` commands are exact and run without numpy: the float modules are
+imported only by the commands that use them.
 """
 
 from __future__ import annotations
@@ -20,20 +23,10 @@ import math
 import os
 import re
 import sys
-import tempfile
 from fractions import Fraction
-
-import numpy as np
 
 from . import serialize
 from .cluster import omega_rank
-from .continuous import (
-    MIN_LIOUVILLE_GRID,
-    curvature_conformal,
-    frieze_from_curve,
-    liouville_residual_field,
-)
-from .curves import curve_family, lift_curve, on_grid, trig_poly
 from .exceptions import FriezeLabError
 from .frieze import (
     ZigzagCoords,
@@ -44,10 +37,6 @@ from .frieze import (
     report_is_valid,
     zigzag_to_frieze,
 )
-from .hill import HillPotential, dev_from_minus_id, hill_solve, is_antiperiodic, is_nonoscillating
-from .kirillov import field_from_variation, kirillov_form_curve, kirillov_form_fields_both
-from .limit import convergence_study
-from .quadrature import periodic_nodes
 from .recurrence import cross_ratio_coordinates, polygon_from_frieze
 from .serialize import csv_string, dumps, fraction_to_str
 
@@ -64,6 +53,8 @@ def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
+    import tempfile
+
     d = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".frieze-lab-")
@@ -97,6 +88,8 @@ def _read_doc(path: str) -> dict:
 
 
 def _variation(name: str):
+    from .curves import trig_poly
+
     if name not in VARIATIONS:
         raise FriezeLabError(f"unknown variation preset {name!r}")
     return trig_poly(math.pi, VARIATIONS[name])
@@ -166,6 +159,8 @@ def cmd_frieze(args) -> int:
 
 
 def _family_curve(args):
+    from .curves import curve_family
+
     if not math.isfinite(args.s):
         raise ValueError(f"--s must be finite, got {args.s}")
     if not math.isfinite(args.c) or args.c == 0.0:
@@ -177,6 +172,14 @@ def _family_curve(args):
 
 
 def cmd_continuum(args) -> int:
+    import numpy as np
+
+    from .continuous import MIN_LIOUVILLE_GRID, curvature_conformal, frieze_from_curve, liouville_residual_field
+    from .curves import lift_curve, on_grid
+    from .hill import HillPotential, dev_from_minus_id, hill_solve, is_antiperiodic, is_nonoscillating
+    from .kirillov import field_from_variation, kirillov_form_curve, kirillov_form_fields_both
+    from .quadrature import periodic_nodes
+
     grid_floor = MIN_LIOUVILLE_GRID if args.sub == "liouville" else 1
     if "grid" in vars(args) and args.grid < grid_floor:
         return _fail(f"--grid must be at least {grid_floor}, got {args.grid}")
@@ -257,6 +260,8 @@ def cmd_continuum(args) -> int:
 
 
 def cmd_limit(args) -> int:
+    from .limit import convergence_study
+
     curve = _family_curve(args)
     if curve.period is None:
         return _fail(f"family {args.family!r} is not closed; the study needs a period")

@@ -1,9 +1,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import frieze_lab
 from frieze_lab.cli import main
 
 
@@ -420,12 +425,13 @@ def test_curvature_default_h_output_unchanged(capsys):
 
 
 def test_memory_error_exit_2(capsys, monkeypatch):
-    from frieze_lab import cli
+    from frieze_lab import continuous
 
     def too_big(*args, **kwargs):
         raise MemoryError("Unable to allocate the grid")
 
-    monkeypatch.setattr(cli, "curvature_conformal", too_big)
+    # the CLI imports the float modules when a command runs, so it reads this binding then
+    monkeypatch.setattr(continuous, "curvature_conformal", too_big)
     code, out, err = run(capsys, "continuum", "curvature", "--grid", "100000000")
     assert_json_error(code, out, err)
     assert json.loads(out)["error"].startswith("MemoryError")
@@ -438,3 +444,43 @@ def test_negative_exponent_value(capsys):
     assert code == 0 and err == ""
     assert (code, out) == run(capsys, *args, "--s=-1.985622971567569e-05")[:2]
     assert run(capsys, "continuum", "liouville", "--s", "-2E-1", "--c", "-1.3e0")[0] == 0
+
+
+def _fresh_main(argv, stdin=None):
+    """Run main(argv) in a fresh interpreter; returns the exit code and which of
+    numpy and tempfile the process had imported when main returned."""
+    child = (
+        "import json, sys\n"
+        # site hooks may import tempfile at start-up; forget it, so that only an
+        # import made by the package brings it back
+        "sys.modules.pop('tempfile', None)\n"
+        "from frieze_lab.cli import main\n"
+        "code = main(json.loads(sys.argv[1]))\n"
+        "sys.stderr.write(json.dumps([code, [m for m in ('numpy', 'tempfile') if m in sys.modules]]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(frieze_lab.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", child, json.dumps(argv)],
+        input=stdin, capture_output=True, text=True, env=env, timeout=60,
+    )
+    return tuple(json.loads(proc.stderr.strip().splitlines()[-1]))
+
+
+def test_exact_commands_never_import_numpy():
+    from frieze_lab.frieze import propagate_from_quiddity
+    from frieze_lab.serialize import dumps, frieze_to_doc
+
+    doc = dumps(frieze_to_doc(propagate_from_quiddity([1, 3, 1, 2, 2])))
+    cases = [  # (argv, stdin, exit code)
+        (["frieze", "gen", "--quiddity", "1,2,2,1,3"], None, 0),
+        (["frieze", "diag", "--values", "1,2"], None, 0),
+        (["frieze", "check", "-"], doc, 0),
+        (["frieze", "mutate", "--values", "1,2", "--start", "4", "--moves", "SE", "--position", "0"], None, 0),
+        (["frieze", "moduli", "--quiddity", "1,2,2,1,3"], None, 0),
+        (["frieze", "gen", "--quiddity", "1,x,2"], None, 2),
+    ]
+    for argv, stdin, expected in cases:
+        assert _fresh_main(argv, stdin) == (expected, []), argv
+    # the float side still loads what it needs
+    code, loaded = _fresh_main(["continuum", "hill", "--steps", "64"])
+    assert code == 0 and "numpy" in loaded
