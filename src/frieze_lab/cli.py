@@ -75,16 +75,19 @@ def _fail(reason: str, code: int = 2) -> int:
 
 
 def _parse_rationals(text: str) -> list[Fraction]:
-    return [Fraction(tok) for tok in text.split(",") if tok]
+    return [serialize.str_to_fraction(tok) for tok in text.split(",") if tok]
 
 
 def _read_doc(path: str) -> dict:
     import json
 
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("JSON document is nested too deeply") from None
 
 
 def _variation(name: str):

@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .exceptions import GaugeViolation
-from .frieze import SE, DiagonalCoords, ZigzagCoords, ZigzagPath, _chart_polygon, _complete_rows
+from .frieze import SE, DiagonalCoords, ZigzagCoords, ZigzagPath, _bracket_rows, _chart_polygon
 from .jets import Jet, seed_jets
 from .recurrence import det2
 
@@ -104,14 +104,14 @@ def _jet_polygon(path: ZigzagPath, values: tuple) -> tuple:
     bracket [V_i, V_j], and the glide symmetry e(i, j) = e(j, i + n) pairs
     j - i = d with n - d, so the scan stops at d = n // 2.  Scaling a vertex
     by its positive denominators keeps its brackets' zeros, so the scan
-    multiplies integers only.  On a zero, the rows of the value-part
-    quiddity are completed to report the first zero in row order.
+    multiplies integers only.  On a zero, ``_bracket_rows`` reads the rows
+    off the value-part polygon to report the first zero in row order.
     """
     V = _chart_polygon(path, seed_jets(values), Jet(Fraction(1), (Fraction(0),) * path.width))
     n = len(V) // 2
     P = [(x.val.numerator * y.val.denominator, y.val.numerator * x.val.denominator) for x, y in V]
     if any(det2(P[i], P[i + d]) == 0 for i in range(n) for d in range(2, n // 2 + 1)):
-        _complete_rows([det2(V[k - 1], V[k + 1]).val for k in range(n)], n)
+        _bracket_rows([(x.val, y.val) for x, y in (V[-1], *V[:-2])], n)
     return tuple(V)
 
 
@@ -149,9 +149,7 @@ def _apply(jac, xi_c):
 
 def pushforward(source, target_path: ZigzagPath, xi) -> TangentVector:
     """Tangent vector at the target chart, xi' = J xi with J the exact Jacobian."""
-    xi_c = getattr(xi, "components", xi)
-    base, jac = _chart_transport(source, target_path)
-    return TangentVector(base=base, components=_apply(jac, xi_c))
+    return pushforward_many(source, target_path, [xi])[0]
 
 
 def pushforward_many(source, target_path: ZigzagPath, vectors) -> list[TangentVector]:

@@ -322,7 +322,6 @@ class ProjectiveCurve:
     branch_count: Callable[[float], float] | None = None
     dkappa: Callable[[float], float] | None = None
     inv_d1: SmoothFunction | None = None
-    family: str = "custom"
 
     def require_admissible(self) -> None:
         """Raise DerivativeVanishes unless f' > 0 at 512 nodes of one period."""
@@ -456,7 +455,6 @@ def tan_family(s: float = 0.0, c: float = 0.5) -> ProjectiveCurve:
         branch_count=branch_count,
         dkappa=dkappa,
         inv_d1=inv_d1,
-        family="tan",
     )
 
 
@@ -466,8 +464,7 @@ def linear_family(c: float = 0.5) -> ProjectiveCurve:
     f = sf_identity()
     lift = lift_from_components(lambda x: 1.0, lambda x: x, zero, lambda x: 1.0, kappa=zero)
     return ProjectiveCurve(
-        f=f, period=None, c=c, lift=lift, branch_count=lambda x: 0, dkappa=zero,
-        family="linear",
+        f=f, period=None, c=c, lift=lift, branch_count=lambda x: 0, dkappa=zero
     )
 
 

@@ -14,13 +14,13 @@ vectors i and j of the associated three-term recurrence.  In that picture
 * the glide symmetry is ``e(i, j) == e(j, i+n)``, whose square is the
   horizontal shift by the period ``n = w + 3``.
 
-Every chart is read as a polygon: each step along a zigzag path adds one
-vertex, so ``_chart_polygon`` builds V_0..V_{2n-1} straight from the chart's
-values, and ``zigzag_to_frieze`` completes the rows from the quiddity
-c_k = [V_{k-1}, V_{k+1}].  All public constructors work over
-``fractions.Fraction``; ``_chart_polygon`` and the zigzag mutations are
-scalar-generic, and the cluster module runs the builder on jet (dual-number)
-values to read every entry as a bracket of polygon vertices.
+Every frieze is the bracket table of one polygon, read by ``_bracket_rows``:
+``propagate_from_quiddity`` takes the vertices from the recurrence's orbit,
+``zigzag_to_frieze`` from the chart, where each path step adds one vertex
+(``_chart_polygon``).  All public constructors work over
+``fractions.Fraction``; ``_chart_polygon``, ``_bracket_rows`` and the zigzag
+mutations are scalar-generic, and the cluster module runs the builder on jet
+(dual-number) values to read every entry as a bracket of polygon vertices.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exceptions import NotClosed, ZeroEntryEncountered
-from .recurrence import det2
+from .recurrence import DiscreteHillEquation, det2, solve_recurrence
 
 SE = "SE"
 SW = "SW"
@@ -39,11 +39,7 @@ SW = "SW"
 
 def as_fraction(x) -> Fraction:
     """Coerce ints, strings like '3/5', and Fractions; floats are rejected."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str, Fraction)):
         return Fraction(x)
     raise TypeError(f"exact rational expected, got {type(x).__name__}")
 
@@ -53,29 +49,25 @@ def _is_zero(x) -> bool:
     return getattr(x, "val", x) == 0
 
 
-def _complete_rows(quiddity: Sequence, n: int) -> list[list]:
-    """Propagate display rows -1..n-2 downward from the first nontrivial row.
+def _bracket_rows(W: Sequence, n: int) -> tuple[tuple, ...]:
+    """Display rows -1..n-2, entry e(j-1, j-1+d) = [W_j, W_{j+d}] in row d-1.
 
-    Scalar-generic.  Raises ZeroEntryEncountered when an interior entry turns
-    zero before the band closes, NotClosed when the closing rows are wrong.
+    Scalar-generic.  ``W_k = V_{k-1}``, k = 0..2n-2, are polygon vertices with
+    unit consecutive brackets.  Raises ZeroEntryEncountered at the first zero
+    of band rows 1..n-3, NotClosed when row n-2 is not a row of ones; the row
+    after a nonzero band is then zero by the Pluecker relation.
     """
-    rows: list[list] = [[0] * n, [1] * n, list(quiddity)]
-    for r in range(2, n):
-        prev2, prev = rows[-2], rows[-1]
-        nxt = []
-        for j in range(n):
-            denom = prev2[(j + 1) % n]
-            if _is_zero(denom):
-                raise ZeroEntryEncountered(
-                    f"zero entry in row {r - 2}, column {(j + 1) % n}"
-                )
-            nxt.append((prev[j] * prev[(j + 1) % n] - 1) / denom)
-        rows.append(nxt)
+    rows = [(Fraction(0),) * n, (Fraction(1),) * n]
+    for d in range(2, n):
+        row = tuple(det2(W[j], W[j + d]) for j in range(n))
+        if d < n - 1:  # a band row, scanned from column 1 round to column 0
+            for j in (*range(1, n), 0):
+                if _is_zero(row[j]):
+                    raise ZeroEntryEncountered(f"zero entry in row {d - 1}, column {j}")
+        rows.append(row)
     if any(x != 1 for x in rows[n - 1]):
         raise NotClosed("no second row of ones at depth n-2")
-    if any(x != 0 for x in rows[n]):
-        raise NotClosed("closing row of ones is not followed by zeros")
-    return rows[:n]
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -166,10 +158,8 @@ def propagate_from_quiddity(quiddity: Sequence) -> FriezePattern:
     n = len(c)
     if n < 3:
         raise ValueError("period must be at least 3")
-    rows = _complete_rows(c, n)
-    return FriezePattern(
-        width=n - 3, rows=tuple(tuple(Fraction(x) for x in row) for row in rows)
-    )
+    orbit = solve_recurrence(DiscreteHillEquation(c), (1, 0), (0, 1), 2 * n - 3)
+    return FriezePattern(width=n - 3, rows=_bracket_rows([(c[0], -1), *orbit], n))
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +337,10 @@ def _chart_polygon(path: ZigzagPath, values: Sequence, one) -> list:
 
 
 def zigzag_to_frieze(z: ZigzagCoords) -> FriezePattern:
-    """Complete the frieze determined by zigzag coordinates."""
+    """The frieze determined by zigzag coordinates: the bracket table of its chart's polygon."""
     V = _chart_polygon(z.path, z.values, Fraction(1))
-    frieze = propagate_from_quiddity([det2(V[k - 1], V[k + 1]) for k in range(len(V) // 2)])
+    n = len(V) // 2
+    frieze = FriezePattern(width=n - 3, rows=_bracket_rows([V[-1], *V[:-2]], n))
     if read_zigzag(frieze, z.path).values != z.values:
         raise AssertionError("zigzag reconstruction mismatch")
     return frieze

@@ -484,3 +484,31 @@ def test_exact_commands_never_import_numpy():
     # the float side still loads what it needs
     code, loaded = _fresh_main(["continuum", "hill", "--steps", "64"])
     assert code == 0 and "numpy" in loaded
+
+
+def test_deeply_nested_document_exit_2(capsys, monkeypatch, tmp_path):
+    # the JSON decoder gives up on this depth with RecursionError
+    nested = "[" * 200000 + "]" * 200000
+    doc = tmp_path / "deep.json"
+    doc.write_text(nested)
+    for argv in (("frieze", "check", str(doc)), ("frieze", "moduli", "--input", str(doc))):
+        code, out, err = run(capsys, *argv)
+        assert_json_error(code, out, err)
+        assert json.loads(out)["error"] == "ValueError: JSON document is nested too deeply"
+    monkeypatch.setattr("sys.stdin", io.StringIO(nested))
+    assert_json_error(*run(capsys, "frieze", "check", "-"))
+
+
+def test_huge_exponent_exit_2_promptly():
+    # Fraction would build 10**999999999 for this token and not return
+    token = "1e999999999"
+    doc = json.dumps({"width": 0, "period": 3, "quiddity": [token, "1", "1"], "rows": [["1"] * 3] * 2})
+    env = {**os.environ, "PYTHONPATH": str(Path(frieze_lab.__file__).parents[1])}
+    for args, stdin in ((["gen", "--quiddity", f"{token},1,1"], None), (["check", "-"], doc)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "frieze_lab.cli", "frieze", *args],
+            input=stdin, capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert_json_error(proc.returncode, proc.stdout, proc.stderr)
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["error"] == f"ValueError: exponent of '{token}' exceeds 4300 in magnitude"

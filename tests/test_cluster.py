@@ -1,10 +1,8 @@
 import ast
 import itertools
 import random
-from fractions import Fraction
 from fractions import Fraction as Fr
 from pathlib import Path
-from typing import Sequence
 
 import pytest
 
@@ -15,10 +13,9 @@ from frieze_lab.frieze import (
     SE,
     SW,
     ZigzagCoords,
-    _complete_rows,
-    _is_zero,
     elementary_mutation,
 )
+from row_reference import complete_rows, quiddity_from_diagonal
 
 
 def basis(w):
@@ -201,26 +198,6 @@ def _straighten(z: ZigzagCoords) -> ZigzagCoords:
     return cur
 
 
-def _quiddity_from_diagonal(values: Sequence, base: int, n: int) -> list:
-    """Recover the quiddity from one SE diagonal.  Scalar-generic.
-
-    The diagonal recurrence pins every coefficient except c_base; that one is
-    read off the neighbouring diagonal, swept out by the diamond rule.
-    """
-    d = [Fraction(0), Fraction(1), *values, Fraction(1), Fraction(0)]  # e(base, base+k)
-    c: list = [None] * n
-    for j in range(1, n):
-        c[(base + j) % n] = (d[j + 1] + d[j - 1]) / d[j]
-    d2 = [0, 1]  # e(base+1, base+1+k)
-    for k in range(2, n):
-        if _is_zero(d[k]):
-            raise ZeroEntryEncountered("zero diagonal value")
-        d2.append((1 + d[k + 1] * d2[k - 1]) / d[k])
-    # closing entry of the neighbour diagonal is 1, so c_base = e(base+1, base+n-1)
-    c[base % n] = d2[n - 2]
-    return c
-
-
 def row_completion_transport(source, path):
     """Reference chart change: complete every row in jets, then read the path."""
     from frieze_lab.jets import seed_jets
@@ -228,7 +205,7 @@ def row_completion_transport(source, path):
     z = source.as_zigzag() if isinstance(source, fl.DiagonalCoords) else source
     n = z.width + 3
     flat = _straighten(fl.ZigzagCoords(path=z.path, values=tuple(seed_jets(z.values))))
-    rows = _complete_rows(_quiddity_from_diagonal(flat.values, flat.path.start % n, n), n)
+    rows = complete_rows(quiddity_from_diagonal(flat.values, flat.path.start % n, n), n)
     out = [rows[j - i][(i + 1) % n] for i, j in path.vertices()]
     return tuple(v.val for v in out), [list(v.grad) for v in out]
 

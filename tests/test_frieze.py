@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import frieze_lab as fl
 from frieze_lab.frieze import SE, SW
+from row_reference import complete_rows, quiddity_from_diagonal
 
 
 def small_fraction(rng, lo=1, hi=6):
@@ -85,6 +86,55 @@ def test_quiddity_roundtrip():
     for w in range(1, 5):
         f, _ = random_diagonal(rng, w)
         assert fl.propagate_from_quiddity(f.quiddity) == f
+
+
+# zeros, negatives and rationals: most random quiddities do not close, and
+# diagonals over these values give friezes with zero entries as well
+ENTRY_CHOICES = (Fr(0), Fr(1), Fr(-1), Fr(2), Fr(-2), Fr(3), Fr(1, 2), Fr(-1, 2), Fr(3, 2), Fr(-2, 3))
+
+
+def _outcome(build):
+    """Rows as lists, or the type and message of the error."""
+    try:
+        rows = build()
+    except fl.FriezeLabError as exc:
+        return type(exc), str(exc)
+    return [list(row) for row in rows]
+
+
+def test_brackets_match_division_completion():
+    """Quiddities and diagonals give the division completion's rows or its error."""
+    rng = random.Random(20)
+    outcomes = {}
+    for k in range(20000):
+        w = rng.randint(0, 6)
+        n = w + 3
+        if k % 2:
+            base = rng.choice((None, rng.randint(-n, 2 * n)))
+            vals = tuple(rng.choice(ENTRY_CHOICES) for _ in range(w))
+            got = _outcome(lambda: fl.diagonal_to_frieze(vals, base=base).rows)
+            if 0 in vals:
+                expected = (fl.ZeroEntryEncountered, "diagonal values must be nonzero")
+            else:
+                b = n - 1 if base is None else base % n
+                expected = _outcome(lambda: complete_rows(quiddity_from_diagonal(vals, b, n), n))
+        else:
+            if rng.random() < 0.5:
+                q = [rng.choice(ENTRY_CHOICES) for _ in range(n)]
+            else:  # closed, unless one entry is moved
+                vals = [rng.choice(ENTRY_CHOICES[1:]) for _ in range(w)]
+                q = quiddity_from_diagonal(vals, rng.randrange(n), n)
+                if rng.random() < 0.25:
+                    q[rng.randrange(n)] += rng.choice(ENTRY_CHOICES[1:])
+            got = _outcome(lambda: fl.propagate_from_quiddity(q).rows)
+            expected = _outcome(lambda: complete_rows(q, n))
+        assert got == expected, (k, w)
+        kind = "rows" if isinstance(got, list) else got[0]
+        if kind == "rows":
+            assert all(type(x) is Fr for row in got for x in row)
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert set(outcomes) == {"rows", fl.ZeroEntryEncountered, fl.NotClosed}
+    assert min(outcomes.values()) > 1000, outcomes
 
 
 def test_read_zigzag_diagonal_path():

@@ -14,6 +14,15 @@ def test_fraction_strings():
     assert serialize.str_to_fraction(2) == Fr(2)
 
 
+def test_exponent_bound():
+    assert serialize.str_to_fraction("1e4300") == 10**4300
+    assert serialize.str_to_fraction("-15E-4300") == Fr(-15, 10**4300)
+    assert serialize.str_to_fraction("2.5e0_0_3") == 2500
+    for text in ("1e4301", "1E-4301", "7e+000099999", "1e0_4301", "1.5e999999999 "):
+        with pytest.raises(ValueError, match="exceeds 4300 in magnitude"):
+            serialize.str_to_fraction(text)
+
+
 def test_frieze_doc_roundtrip():
     f = fl.diagonal_to_frieze((Fr(1, 2), Fr(3)))
     doc = serialize.frieze_to_doc(f)
