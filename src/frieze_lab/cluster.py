@@ -17,10 +17,14 @@ equality of the three evaluations is testable as identity of rationals.
 
 A source's polygon is built once: ``_jet_polygon`` keeps the 8 most recently
 used polygons, keyed on the chart's path and values, so a sweep of one source
-over many target charts takes only brackets after its first request.  A
-chart that fails is not cached and raises again on every call.  The
-zero-entry check on a new polygon scans the interior value brackets with
-integer multiplications and no division.
+over many target charts takes only brackets after its first request.  Jets
+are used only in that build: each vertex is stored as integer numerators of
+its value and gradient over one denominator, so a bracket is integer
+products and every output (a target value, a Jacobian entry, a component of
+J xi) is normalized once, as one ``Fraction``.  A chart that fails is not
+cached and raises again on every call.  The zero-entry check on a new
+polygon scans the interior value brackets with integer multiplications and
+no division.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .exceptions import GaugeViolation
@@ -89,30 +95,50 @@ def _as_zigzag(coords) -> ZigzagCoords:
 _POLYGON_MEMO_SIZE = 8
 
 
+def _integer_vertex(x: Jet, y: Jet) -> tuple:
+    """(D, X, Y): a jet vertex's parts (val, *grad) as integers over D, the lcm of their denominators."""
+    parts = (x.val, *x.grad, y.val, *y.grad)
+    D = lcm(*(q.denominator for q in parts))
+    nums = tuple(q.numerator * (D // q.denominator) for q in parts)
+    return D, nums[: len(x.grad) + 1], nums[len(x.grad) + 1 :]
+
+
 @lru_cache(maxsize=_POLYGON_MEMO_SIZE)
 def _jet_polygon(path: ZigzagPath, values: tuple) -> tuple:
-    """Jet vertices V_0..V_{2n-1} of the polygon read off a chart, seeded on its values.
+    """Integer vertices V_0..V_{2n-1} of the jet polygon read off a chart, seeded on its values.
+
+    The polygon is built in jets, one vertex per path step, and then each
+    vertex is written once as ``(D, X, Y)``: X and Y are the integer
+    numerators of its two coordinates' value and gradient, in the order of the
+    seed values, over one positive denominator D.  Every bracket is then
+    integer products over ``D_i D_j`` (``_brackets``), normalized once per
+    output.
 
     Memoized on ``(path, values)``, at most ``_POLYGON_MEMO_SIZE`` polygons,
     least recently used dropped first; ``_source_polygon`` builds the key.
-    The result is a tuple of frozen jet vertices, safe to share between
-    calls.  Failures are not cached: a chart with a zero entry raises on
-    every call.
+    The result is a tuple of tuples of ints, safe to share between calls.
+    Failures are not cached: a chart with a zero entry raises on every call.
 
     Raises ZeroEntryEncountered when an interior entry e(i, j), i < n and
     2 <= j - i <= n - 2, of the frieze vanishes.  Each entry is the value
     bracket [V_i, V_j], and the glide symmetry e(i, j) = e(j, i + n) pairs
-    j - i = d with n - d, so the scan stops at d = n // 2.  Scaling a vertex
-    by its positive denominators keeps its brackets' zeros, so the scan
-    multiplies integers only.  On a zero, ``_bracket_rows`` reads the rows
-    off the value-part polygon to report the first zero in row order.
+    j - i = d with n - d, so the scan stops at d = n // 2.  A vertex's value
+    numerators (X[0], Y[0]) are its values scaled by D > 0, which keeps the
+    brackets' zeros, so the scan multiplies integers only.  On a zero,
+    ``_bracket_rows`` reads the rows off the value parts of the jet polygon
+    to report the first zero in row order.
     """
     V = _chart_polygon(path, seed_jets(values), Jet(Fraction(1), (Fraction(0),) * path.width))
     n = len(V) // 2
-    P = [(x.val.numerator * y.val.denominator, y.val.numerator * x.val.denominator) for x, y in V]
-    if any(det2(P[i], P[i + d]) == 0 for i in range(n) for d in range(2, n // 2 + 1)):
+    W = [_integer_vertex(x, y) for x, y in V[:n]]
+    W += [(D, tuple(-u for u in X), tuple(-u for u in Y)) for D, X, Y in W]  # V_{k+n} = -V_k
+    if any(
+        W[i][1][0] * W[i + d][2][0] == W[i][2][0] * W[i + d][1][0]
+        for i in range(n)
+        for d in range(2, n // 2 + 1)
+    ):
         _bracket_rows([(x.val, y.val) for x, y in (V[-1], *V[:-2])], n)
-    return tuple(V)
+    return tuple(W)
 
 
 def _source_polygon(z: ZigzagCoords) -> tuple:
@@ -121,30 +147,51 @@ def _source_polygon(z: ZigzagCoords) -> tuple:
 
 
 def _brackets(V: Sequence, pairs) -> list:
-    """Frieze entries e(i, j) = [V_{i mod n}, V_{j - i + i mod n}], 0 <= j - i <= n."""
+    """Frieze entries e(i, j) = [V_{i mod n}, V_{j - i + i mod n}], 0 <= j - i <= n, of integer vertices.
+
+    Each entry is (den, value numerator, gradient numerators): the value
+    ``x_u y_v - y_u x_v`` and each gradient component, by the product rule,
+    are integers over ``den = D_u D_v``.
+    """
     n = len(V) // 2
-    return [det2(V[i % n], V[j - i + i % n]) for i, j in pairs]
+    out = []
+    for i, j in pairs:
+        Du, Xu, Yu = V[i % n]
+        Dv, Xv, Yv = V[j - i + i % n]
+        x, y, p, q = Xu[0], Yu[0], Xv[0], Yv[0]
+        grad = [a * q + x * d - b * p - y * c for a, b, c, d in zip(Xu[1:], Yu[1:], Xv[1:], Yv[1:])]
+        out.append((Du * Dv, x * q - y * p, grad))
+    return out
 
 
-def _chart_transport(source, target_path: ZigzagPath):
-    """Target values and the exact Jacobian, read as brackets of jet vertices."""
+def _target_brackets(source, target_path: ZigzagPath) -> list:
+    """The entries along the target path, with their gradients, as brackets of the source's polygon."""
     z = _as_zigzag(source)
     if target_path.width != z.width:
         raise ValueError("target path width does not match source width")
-    out = _brackets(_source_polygon(z), target_path.vertices())
-    base = ZigzagCoords(path=target_path, values=tuple(v.val for v in out))
-    return base, [list(v.grad) for v in out]
+    return _brackets(_source_polygon(z), target_path.vertices())
+
+
+def _over_lcm(xi, width: int) -> tuple:
+    """(Q, P): tangent components xi_k = P_k / Q, with Q the lcm of their denominators."""
+    if len(xi) != width:
+        raise ValueError("a tangent needs one component per chart value")
+    for x in xi:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"exact rational expected, got {type(x).__name__}")
+    Q = lcm(*(x.denominator for x in xi))
+    return Q, [x.numerator * (Q // x.denominator) for x in xi]
+
+
+def _apply(brackets: list, tangent: tuple) -> tuple:
+    """J xi: one Fraction per entry, the gradient numerators dotted with xi's over den * Q."""
+    Q, P = tangent
+    return tuple(Fraction(sum(map(mul, grad, P)), den * Q) for den, _, grad in brackets)
 
 
 def chart_jacobian(source, target_path: ZigzagPath) -> list[list[Fraction]]:
     """Exact Jacobian of the coordinate change source -> target zigzag chart."""
-    return _chart_transport(source, target_path)[1]
-
-
-def _apply(jac, xi_c):
-    return tuple(
-        sum((row[k] * xi_c[k] for k in range(len(xi_c))), Fraction(0)) for row in jac
-    )
+    return [[Fraction(g, den) for g in grad] for den, _, grad in _target_brackets(source, target_path)]
 
 
 def pushforward(source, target_path: ZigzagPath, xi) -> TangentVector:
@@ -153,12 +200,15 @@ def pushforward(source, target_path: ZigzagPath, xi) -> TangentVector:
 
 
 def pushforward_many(source, target_path: ZigzagPath, vectors) -> list[TangentVector]:
-    """Push several tangents through one shared chart change."""
-    base, jac = _chart_transport(source, target_path)
-    return [
-        TangentVector(base=base, components=_apply(jac, getattr(v, "components", v)))
-        for v in vectors
-    ]
+    """Push several tangents through one shared chart change.
+
+    Components must be ints or Fractions, one per chart value; a float raises
+    TypeError, as in ``frieze.as_fraction``.
+    """
+    out = _target_brackets(source, target_path)
+    base = ZigzagCoords(path=target_path, values=tuple(Fraction(v, den) for den, v, _ in out))
+    tangents = [_over_lcm(getattr(v, "components", v), target_path.width) for v in vectors]
+    return [TangentVector(base=base, components=_apply(out, t)) for t in tangents]
 
 
 # ---------------------------------------------------------------------------
@@ -253,19 +303,16 @@ def polygon_tangent_from_diagonal(a: DiagonalCoords, delta: Sequence):
     """Polygon and polygon tangent induced by a diagonal variation, exactly.
 
     With s = base + 1, vertex i is ([V_s, V_{s+i}], [V_{s-1}, V_{s+i}]) over
-    the jet vertices seeded on the diagonal, so the returned tangent satisfies
+    the polygon seeded on the diagonal, so the returned tangent satisfies
     the bracket constraint identically and is in the xi_{n-1} = 0 gauge (the
-    last vertex (1,0) is constant in these coordinates).
+    last vertex (1,0) is constant in these coordinates).  ``delta`` takes one
+    int or Fraction per diagonal value, as ``pushforward_many``'s tangents do.
     """
     n = a.width + 3
     s = a.base % n + 1
     V = _source_polygon(a.as_zigzag())
+    tangent = _over_lcm(delta, a.width)
     xs = _brackets(V, [(s, s + i) for i in range(n)])
     ys = _brackets(V, [(s - 1, s + i) for i in range(n)])
-
-    def d(x):
-        return sum((g * e for g, e in zip(x.grad, delta)), Fraction(0))
-
-    polygon = tuple((x.val, y.val) for x, y in zip(xs, ys))
-    tangent = tuple((d(x), d(y)) for x, y in zip(xs, ys))
-    return polygon, tangent
+    polygon = tuple((Fraction(x, dx), Fraction(y, dy)) for (dx, x, _), (dy, y, _) in zip(xs, ys))
+    return polygon, tuple(zip(_apply(xs, tangent), _apply(ys, tangent)))

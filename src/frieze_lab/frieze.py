@@ -21,10 +21,13 @@ Every frieze is the bracket table of one polygon, read by ``_bracket_rows``:
 ``fractions.Fraction``; ``_chart_polygon``, ``_bracket_rows`` and the zigzag
 mutations are scalar-generic, and the cluster module runs the builder on jet
 (dual-number) values to read every entry as a bracket of polygon vertices.
+Rational text is parsed by ``str_to_fraction``, whose exponent bound holds for
+the constructors here and for the command line alike.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,10 +40,28 @@ SE = "SE"
 SW = "SW"
 
 
+MAX_EXPONENT = 4300  # CPython's default limit on the digits of an int string
+
+
+def str_to_fraction(s) -> Fraction:
+    """Exact rational from an int, a Fraction or text; exponents past MAX_EXPONENT raise ValueError."""
+    if isinstance(s, (int, Fraction)):
+        return Fraction(s)
+    m = re.search(r"e[-+]?([\d_]+)\s*\Z", text := str(s), re.IGNORECASE)
+    digits = m[1].replace("_", "").lstrip("0") if m else ""
+    if len(digits) > 4 or int(digits or 0) > MAX_EXPONENT:  # Fraction would build 10**exponent
+        raise ValueError(f"exponent of {text!r} exceeds {MAX_EXPONENT} in magnitude")
+    return Fraction(text)
+
+
 def as_fraction(x) -> Fraction:
-    """Coerce ints, strings like '3/5', and Fractions; floats are rejected."""
+    """Coerce ints, strings like '3/5', and Fractions; floats are rejected.
+
+    Strings are parsed by ``str_to_fraction``, so an exponent beyond
+    MAX_EXPONENT raises ValueError instead of building a huge power of ten.
+    """
     if isinstance(x, (int, str, Fraction)):
-        return Fraction(x)
+        return str_to_fraction(x)
     raise TypeError(f"exact rational expected, got {type(x).__name__}")
 
 

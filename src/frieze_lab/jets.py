@@ -5,6 +5,10 @@ coordinates.  Reading the polygon off a chart seeded with jets, one vertex per
 path step, gives vertices whose brackets [V_i, V_j], the frieze entries, carry
 exact partial derivatives with respect to the seed coordinates, with no
 truncation and no symbolic algebra.
+
+Jets are used only to build that polygon, once per source chart
+(``cluster._jet_polygon``).  The cluster module then stores each vertex as
+integer numerators over one denominator and takes brackets in integers.
 """
 
 from __future__ import annotations

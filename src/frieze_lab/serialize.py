@@ -10,30 +10,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from fractions import Fraction
 from typing import Sequence
 
-from .frieze import FriezePattern, propagate_from_quiddity
+from .frieze import FriezePattern, propagate_from_quiddity, str_to_fraction
 
 
 def fraction_to_str(q: Fraction) -> str:
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-MAX_EXPONENT = 4300  # CPython's default limit on the digits of an int string
-
-
-def str_to_fraction(s) -> Fraction:
-    """Exact rational from an int, a Fraction or text; exponents past MAX_EXPONENT raise ValueError."""
-    if isinstance(s, (int, Fraction)):
-        return Fraction(s)
-    m = re.search(r"e[-+]?([\d_]+)\s*\Z", text := str(s), re.IGNORECASE)
-    digits = m[1].replace("_", "").lstrip("0") if m else ""
-    if len(digits) > 4 or int(digits or 0) > MAX_EXPONENT:  # Fraction would build 10**exponent
-        raise ValueError(f"exponent of {text!r} exceeds {MAX_EXPONENT} in magnitude")
-    return Fraction(text)
 
 
 def scalar_to_json(x):

@@ -1,4 +1,5 @@
 import ast
+import functools
 import itertools
 import random
 from fractions import Fraction as Fr
@@ -13,8 +14,11 @@ from frieze_lab.frieze import (
     SE,
     SW,
     ZigzagCoords,
+    _chart_polygon,
     elementary_mutation,
 )
+from frieze_lab.jets import Jet, seed_jets
+from frieze_lab.recurrence import det2
 from row_reference import complete_rows, quiddity_from_diagonal
 
 
@@ -198,16 +202,24 @@ def _straighten(z: ZigzagCoords) -> ZigzagCoords:
     return cur
 
 
-def row_completion_transport(source, path):
-    """Reference chart change: complete every row in jets, then read the path."""
-    from frieze_lab.jets import seed_jets
-
+def row_completion_rows(source):
+    """Every row of the source's frieze completed in jets seeded on the source's values."""
     z = source.as_zigzag() if isinstance(source, fl.DiagonalCoords) else source
     n = z.width + 3
     flat = _straighten(fl.ZigzagCoords(path=z.path, values=tuple(seed_jets(z.values))))
-    rows = complete_rows(quiddity_from_diagonal(flat.values, flat.path.start % n, n), n)
+    return complete_rows(quiddity_from_diagonal(flat.values, flat.path.start % n, n), n)
+
+
+def read_transport(rows, path):
+    """Target values and Jacobian read off completed jet rows along the path."""
+    n = len(rows)
     out = [rows[j - i][(i + 1) % n] for i, j in path.vertices()]
     return tuple(v.val for v in out), [list(v.grad) for v in out]
+
+
+def row_completion_transport(source, path):
+    """Reference chart change: complete every row in jets, then read the path."""
+    return read_transport(row_completion_rows(source), path)
 
 
 def test_chart_jacobian_matches_row_completion():
@@ -223,6 +235,167 @@ def test_chart_jacobian_matches_row_completion():
         values, jac = row_completion_transport(source, target)
         assert fl.chart_jacobian(source, target) == jac
         assert fl.pushforward(source, target, basis(w)[0]).base.values == values
+
+
+def jet_polygon_reference(z):
+    """The chart's jet polygon V_0..V_{2n-1}, checked for zero entries in row order.
+
+    Raises ZeroEntryEncountered at the first zero value bracket of band rows
+    1..n-3, columns 1..n-1 then 0, as ``zigzag_to_frieze`` reports it.
+    """
+    V = _chart_polygon(z.path, seed_jets(z.values), Jet(Fr(1), (Fr(0),) * z.width))
+    n = len(V) // 2
+    P = [(x.val, y.val) for x, y in V]
+    for d in range(2, n - 1):
+        for j in (*range(1, n), 0):
+            if det2(P[j - 1], P[j - 1 + d]) == 0:
+                raise ZeroEntryEncountered(f"zero entry in row {d - 1}, column {j}")
+    return V
+
+
+def jet_entry(V, i, j):
+    """e(i, j) as one jet bracket, read with the glide V_{k+n} = -V_k."""
+    n = len(V) // 2
+    return det2(V[i % n], V[j - i + i % n])
+
+
+def test_integer_brackets_match_references():
+    # sources at w = 0..12, 24 and 32: diagonals and zigzag charts, with
+    # negative, zero and rational values; 16 sources take turns in runs of
+    # charts, so the memo of 8 polygons mostly hits and sometimes evicts
+    rng = random.Random(103)
+    entries = (Fr(-2), Fr(-1), Fr(-1, 2), Fr(0), Fr(1, 3), Fr(1), Fr(3, 2), Fr(2), Fr(3))
+
+    def draw_path(w):
+        return random_path(rng, w) if w else fl.ZigzagPath(start=rng.randint(-3, 6), moves=(), width=0)
+
+    def draw_values(w):
+        if rng.random() < 0.15:
+            return tuple(rng.choice(entries) for _ in range(w))
+        return tuple(Fr(rng.randint(1, 5), rng.randint(1, 4)) * rng.choice((1, 1, 1, -1)) for _ in range(w))
+
+    def draw_source(w):
+        if w > 12:  # a positive diagonal: every entry is positive
+            values = tuple(rng.choice((1, 2, 3, Fr(1, 2), Fr(3, 2))) for _ in range(w))
+            return fl.DiagonalCoords(base=rng.randint(-3, 2 * w + 6), values=values)
+        if rng.random() < 0.5:
+            return fl.DiagonalCoords(base=rng.randint(-3, 2 * w + 6), values=draw_values(w))
+        path, values = draw_path(w), draw_values(w)
+        if rng.random() < 0.5:
+            try:  # a chart of a frieze that exists
+                values = fl.read_zigzag(fl.diagonal_to_frieze(values), path).values
+            except fl.FriezeLabError:
+                pass
+        return fl.ZigzagCoords(path=path, values=values)
+
+    def draw_vector(w):
+        return tuple(rng.choice((0, 1, -2, Fr(rng.randint(-5, 5), rng.randint(1, 6)))) for _ in range(w))
+
+    def outcome(build):
+        try:
+            return "ok", repr(build())
+        except Exception as exc:  # every failure must match in type and message
+            return type(exc), str(exc)
+
+    def reference(src):
+        """The chart's jet polygon, its completed jet rows and its polygon_tangent brackets, or the error."""
+        z = src.as_zigzag() if isinstance(src, fl.DiagonalCoords) else src
+        try:
+            V = jet_polygon_reference(z)
+        except ZeroEntryEncountered as exc:
+            with pytest.raises(Exception):
+                row_completion_rows(src)
+            return exc
+        sides = None
+        if isinstance(src, fl.DiagonalCoords):  # the brackets polygon_tangent_from_diagonal reads
+            n = src.width + 3
+            s = src.base % n + 1
+            sides = [[jet_entry(V, s - t, s + i) for i in range(n)] for t in (0, 1)]
+        return functools.cache(lambda i, j: jet_entry(V, i, j)), row_completion_rows(src), sides
+
+    def check(src, ref, target):
+        w = src.width
+        vectors = [draw_vector(w) for _ in range(2)]
+        delta = draw_vector(w)
+        calls = {
+            "chart_jacobian": lambda: fl.chart_jacobian(src, target),
+            "pushforward": lambda: fl.pushforward(src, target, fl.TangentVector(base=src, components=vectors[0])),
+            "pushforward_many": lambda: fl.pushforward_many(src, target, vectors),
+        }
+        if isinstance(src, fl.DiagonalCoords) and rng.random() < 0.3:
+            calls["polygon_tangent"] = lambda: fl.polygon_tangent_from_diagonal(src, delta)
+        if isinstance(ref, Exception):
+            for name, call in calls.items():
+                assert outcome(call) == (type(ref), str(ref)), name
+            return len(calls)
+        entry, rows, sides = ref
+        out = [entry(i, j) for i, j in target.vertices()]
+        values, jac = tuple(v.val for v in out), [list(v.grad) for v in out]
+        assert (values, jac) == read_transport(rows, target)
+
+        def apply(xi):
+            return tuple(sum((row[k] * xi[k] for k in range(w)), Fr(0)) for row in jac)
+
+        base = fl.ZigzagCoords(path=target, values=values)
+        expected_many = [fl.TangentVector(base=base, components=apply(v)) for v in vectors]
+        expected = {"chart_jacobian": jac, "pushforward_many": expected_many, "pushforward": expected_many[0]}
+        if "polygon_tangent" in calls:
+            xs, ys = sides
+
+            def d(x):
+                return sum((g * e for g, e in zip(x.grad, delta)), Fr(0))
+
+            polygon = tuple((x.val, y.val) for x, y in zip(xs, ys))
+            expected["polygon_tangent"] = polygon, tuple((d(x), d(y)) for x, y in zip(xs, ys))
+        for name, call in calls.items():
+            assert outcome(call) == ("ok", repr(expected[name])), name
+        return 0
+
+    widths = [*range(13)] * 6 + [24, 32]
+    rng.shuffle(widths)
+    charts = failed_calls = failed_sources = 0
+    info = _jet_polygon.cache_info()
+    for group in range(0, len(widths), 16):
+        sources = [draw_source(w) for w in widths[group : group + 16]]
+        refs = [reference(src) for src in sources]
+        failed_sources += sum(isinstance(ref, Exception) for ref in refs)
+        left = [1 if isinstance(ref, Exception) else 3 if src.width > 12 else 96 - 6 * src.width for src, ref in zip(sources, refs)]
+        while any(left):
+            k = rng.choice([k for k, m in enumerate(left) if m])
+            for _ in range(min(left[k], rng.randint(1, 8))):
+                failed_calls += check(sources[k], refs[k], draw_path(sources[k].width))
+                charts += 1
+                left[k] -= 1
+    after = _jet_polygon.cache_info()
+    # every failing call builds anew, and every other source once unless evicted
+    evicted = after.misses - info.misses - failed_calls - (len(widths) - failed_sources)
+    assert charts >= 3000 and failed_sources >= 10
+    assert after.hits - info.hits > 5000 and evicted > 50
+
+
+def test_tangent_components_must_be_exact():
+    d = fl.DiagonalCoords(base=4, values=(Fr(1), Fr(2)))
+    target = fl.ZigzagPath(start=2, moves=(SW,))
+    for bad in ((1.5, Fr(0)), (Fr(1), "2")):
+        kind = type(bad[0] if isinstance(bad[0], float) else bad[1]).__name__
+        for call in (
+            lambda: fl.pushforward(d, target, bad),
+            lambda: fl.pushforward_many(d, target, [(Fr(1), 2), bad]),
+            lambda: fl.polygon_tangent_from_diagonal(d, bad),
+        ):
+            with pytest.raises(TypeError, match=f"^exact rational expected, got {kind}$"):
+                call()
+    for short_or_long in ((Fr(1),), (Fr(1), Fr(0), Fr(2))):
+        for call in (
+            lambda: fl.pushforward(d, target, short_or_long),
+            lambda: fl.polygon_tangent_from_diagonal(d, short_or_long),
+        ):
+            with pytest.raises(ValueError, match="one component per chart value"):
+                call()
+    # ints and Fractions mix, and give Fractions
+    t = fl.pushforward(d, target, (1, Fr(1, 2)))
+    assert t.components == fl.pushforward(d, target, (Fr(1), Fr(1, 2))).components
+    assert all(type(x) is Fr for x in t.components)
 
 
 def test_polygon_memo_hits_equal_cold_builds():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as Fr
 
 import pytest
@@ -50,6 +51,22 @@ def test_zero_interior_entry_rejected():
     # diagonal (-1, 1) forces a zero in the quiddity row, then a division by it
     with pytest.raises(fl.ZeroEntryEncountered):
         fl.diagonal_to_frieze((-1, 1))
+
+
+def test_library_rejects_huge_exponents_promptly():
+    # Fraction("1e1000000") alone takes about 0.4 s, and larger exponents do not return
+    for build, arg in ((fl.propagate_from_quiddity, ["1e1000000", 1, 1]), (fl.diagonal_to_frieze, ["1e5000"])):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds 4300 in magnitude"):
+            build(arg)
+        assert time.perf_counter() - t0 < 0.1
+    from frieze_lab import frieze, serialize
+
+    assert serialize.str_to_fraction is frieze.str_to_fraction  # one parser, one message
+    # accepted text gives the Fraction it always did
+    for text in ("3/5", "-2", " 7 ", "2.5", "1e4300", "-15E-4300", "1_000", "2.5e0_0_3"):
+        assert frieze.as_fraction(text) == Fr(text)
+    assert fl.diagonal_to_frieze(["1e2"]) == fl.diagonal_to_frieze([100])
 
 
 def test_width2_generic_entries():

@@ -138,44 +138,43 @@ def test_count_zeros_matches_loop():
     assert {0, 1, 2, 3} <= set(outcomes)
 
 
-def _fundamental_loop(kappa, T, steps, dtype=float):
+def _fundamental_loop(kappas, T, steps, dtype=float):
     """_fundamental as a loop of RK4 steps: the reference for the product.
 
-    Returns the states of both solutions as rows (u1, u1', u2, u2'), computed
-    in ``dtype`` from the same float h and kappa samples.
+    Steps both solutions of every potential in ``kappas`` at once, one array
+    entry each, so each array operation is the scalar step's operation, entry
+    by entry, in the same order.
+    Returns the states of both solutions with shape (len(kappas), 4,
+    steps + 1), rows (u1, u1', u2, u2'), computed in ``dtype`` from the same
+    float h and kappa samples.
     """
     h = dtype(T / steps)
+    half, sixth = 0.5 * h, h / 6.0
     xs = np.arange(2 * steps + 1) * (0.5 * (T / steps))
-    k = [dtype(v) for v in on_grid(kappa, xs).tolist()]
+    k = np.array([np.broadcast_to(on_grid(kappa, xs), xs.shape) for kappa in kappas], dtype=dtype).T
 
     def step(u, v, k0, kh, k1):
         k1u, k1v = v, k0 * u
-        k2u = v + 0.5 * h * k1v
-        k2v = kh * (u + 0.5 * h * k1u)
-        k3u = v + 0.5 * h * k2v
-        k3v = kh * (u + 0.5 * h * k2u)
+        k2u = v + half * k1v
+        k2v = kh * (u + half * k1u)
+        k3u = v + half * k2v
+        k3v = kh * (u + half * k2u)
         k4u = v + h * k3v
         k4v = k1 * (u + h * k3u)
         return (
-            u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u),
-            v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v),
+            u + sixth * (k1u + 2 * k2u + 2 * k3u + k4u),
+            v + sixth * (k1v + 2 * k2v + 2 * k3v + k4v),
         )
 
-    a, da, b, db = dtype(1), dtype(0), dtype(0), dtype(1)
-    states = [(a, da, b, db)]
+    # row 0 is the solution (1, 0), row 1 the solution (0, 1)
+    u = np.array([np.ones(len(kappas)), np.zeros(len(kappas))], dtype=dtype)
+    du = u[::-1].copy()
+    states = np.empty((steps + 1, 4, len(kappas)), dtype=dtype)
+    states[0, 0::2], states[0, 1::2] = u, du
     for i in range(steps):
-        k0, kh, k1 = k[2 * i], k[2 * i + 1], k[2 * i + 2]
-        a, da = step(a, da, k0, kh, k1)
-        b, db = step(b, db, k0, kh, k1)
-        states.append((a, da, b, db))
-    return np.array(states, dtype=dtype).T
-
-
-def _loop_solutions(kappa, T, steps):
-    """The loop's states as _fundamental's pair of HillSolutions."""
-    a, da, b, db = _fundamental_loop(kappa, T, steps)
-    xs = np.arange(steps + 1) * (T / steps)
-    return HillSolution(xs, a, da), HillSolution(xs, b, db)
+        u, du = step(u, du, k[2 * i], k[2 * i + 1], k[2 * i + 2])
+        states[i + 1, 0::2], states[i + 1, 1::2] = u, du
+    return states.transpose(2, 1, 0)
 
 
 # constant potentials with fast (-400), antiperiodic (-9, -1), affine (0) and
@@ -192,15 +191,18 @@ def test_fundamental_matches_loop(steps):
     # up to 3.3e-12 (1.0e-12 relative, kappa = 0, 65536 steps), as every step
     # adds the same rounded increment.  Where a wider float type exists, the
     # loop run in it pins the product to 3e-14 relative.
-    for name, kappa in KAPPAS:
+    kappas = [kappa for _, kappa in KAPPAS]
+    loops = _fundamental_loop(kappas, math.pi, steps)
+    wides = None if WIDE is None else _fundamental_loop(kappas, math.pi, steps, WIDE)
+    for j, (name, kappa) in enumerate(KAPPAS):
         a, b = _fundamental(kappa, math.pi, steps)
         states = np.array([a.ys, a.dys, b.ys, b.dys])
-        loop = _fundamental_loop(kappa, math.pi, steps)
+        loop = loops[j]
         scale = max(1.0, float(np.max(np.abs(loop))))
         dev = float(np.max(np.abs(states - loop)))
         assert dev <= 2e-12 * scale, (name, dev, scale)
-        if WIDE is not None:
-            wide = _fundamental_loop(kappa, math.pi, steps, WIDE)
+        if wides is not None:
+            wide = wides[j]
             dev = float(np.max(np.abs(states - wide)))
             assert dev <= 3e-14 * scale, (name, dev, scale)
         # where the monodromy is -Id, the end state is at least as close to it
@@ -214,10 +216,20 @@ def test_fundamental_matches_loop(steps):
 def test_nonoscillation_verdicts_match_loop(monkeypatch):
     # kappa = -1600 has 40 zeros per period, too close for 64 steps
     kappas = [kappa for _, kappa in KAPPAS] + [lambda x: -1600.0]
+    step_counts = (64, 256, 2048, 4096)
     cases = [(HillPotential(kappa=kappa, c=0.5, period=math.pi), steps)
-             for kappa in kappas for steps in (64, 256, 2048, 4096)]
+             for kappa in kappas for steps in step_counts]
     new = [_outcome(fl.is_nonoscillating, pot, steps) for pot, steps in cases]
-    monkeypatch.setattr(hill, "_fundamental", _loop_solutions)
+    loops = {steps: _fundamental_loop(kappas, math.pi, steps) for steps in step_counts}
+
+    def loop_solutions(kappa, T, steps):
+        """The loop's states as _fundamental's pair of HillSolutions."""
+        assert T == math.pi
+        a, da, b, db = loops[steps][kappas.index(kappa)]
+        xs = np.arange(steps + 1) * (T / steps)
+        return HillSolution(xs, a, da), HillSolution(xs, b, db)
+
+    monkeypatch.setattr(hill, "_fundamental", loop_solutions)
     old = [_outcome(fl.is_nonoscillating, pot, steps) for pot, steps in cases]
     assert new == old
     assert {True, False, "GridTooCoarse"} <= set(old)

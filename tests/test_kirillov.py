@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction as Fr
 
 import frieze_lab as fl
 from frieze_lab.curves import sf_compose, trig_poly
@@ -134,3 +136,56 @@ def test_field_from_variation_conditioned_at_poles():
     Y = trig_poly(T, {2: (1.0, 0.0)})
     v1, v2 = fl.kirillov_form_fields_both(pot, X, Y)
     assert abs(v1 - v2) < 1e-10 * max(1.0, abs(v1))
+
+
+def _times_cos_squared(harmonics):
+    """Exact harmonics of xi cos^2 x = xi/2 + xi cos(2x)/2, xi given as {m: (a, b)} in cos 2mx, sin 2mx."""
+    out = {}
+
+    def add(m, a, b):
+        a0, b0 = out.get(m, (Fr(0), Fr(0)))
+        out[m] = (a0 + a, b0 + b)
+
+    for m, (a, b) in harmonics.items():
+        a, b = Fr(a), Fr(b)
+        add(m, a / 2, b / 2)
+        add(m + 1, a / 4, b / 4)
+        # cos(2(m-1)x) and sin(2(m-1)x); at m = 0 these are cos 2x and -sin 2x
+        add(abs(m - 1), a / 4, b / 4 if m >= 1 else -b / 4)
+    return out
+
+
+def _closed_form_over_c_pi(xi, eta):
+    """omega_K(X, Y) / (c pi) at s = 0, as an exact rational.
+
+    At s = 0 the tan family is the round curve: kappa = -1, so k = 2c, on
+    the period pi, and X = xi / f' = xi cos^2 x.  A pair of modes cos 2mx,
+    sin 2mx pairs to pi (k nu - c nu^3 / 2) with nu = 2m, that is
+    c pi 4m (1 - m^2); different modes and constants pair to 0.
+    """
+    X, Y = _times_cos_squared(xi), _times_cos_squared(eta)
+    total = Fr(0)
+    for m in set(X) & set(Y):
+        (ax, bx), (ay, by) = X[m], Y[m]
+        total += 4 * m * (1 - m * m) * (ax * by - bx * ay)
+    return total
+
+
+def test_field_lines_match_closed_forms_at_s_zero():
+    from frieze_lab.cli import VARIATIONS
+    from frieze_lab.kirillov import field_from_variation
+
+    spot = {("bump1", "bump2"): Fr(3, 8), ("bump2", "bump3"): Fr(-3, 16),
+            ("bump3", "bump4"): Fr(3, 32), ("bump1", "bump4"): Fr(0)}
+    for pair, value in spot.items():
+        assert _closed_form_over_c_pi(*(VARIATIONS[name] for name in pair)) == value
+    for c in (0.5, 1.3):
+        cur, pot = family_potential(0.0, c=c)
+        for xi, eta in itertools.product(sorted(VARIATIONS), repeat=2):
+            X, Y = (field_from_variation(cur, trig_poly(T, VARIATIONS[name])) for name in (xi, eta))
+            expected = float(_closed_form_over_c_pi(VARIATIONS[xi], VARIATIONS[eta])) * c * math.pi
+            for line in fl.kirillov_form_fields_both(pot, X, Y):
+                if expected == 0:
+                    assert abs(line) <= 1e-15, (c, xi, eta, line)
+                else:
+                    assert abs(line - expected) <= 1e-14 * abs(expected), (c, xi, eta, line, expected)
