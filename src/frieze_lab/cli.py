@@ -13,7 +13,8 @@ environment variable FRIEZE_LAB_NODES overrides the default quadrature/ODE
 resolution.
 
 The `frieze` commands are exact and run without numpy: the float modules are
-imported only by the commands that use them.
+imported only by the commands that use them, and the cluster module, with its
+jets, only by `frieze moduli`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import sys
 from fractions import Fraction
 
 from . import serialize
-from .cluster import omega_rank
 from .exceptions import FriezeLabError
 from .frieze import (
     ZigzagCoords,
@@ -136,6 +136,8 @@ def cmd_frieze(args) -> int:
         )
         return 0
     if args.sub == "moduli":
+        from .cluster import omega_rank
+
         if args.quiddity is not None:
             frieze = propagate_from_quiddity(_parse_rationals(args.quiddity))
         else:

@@ -125,8 +125,8 @@ def _jet_polygon(path: ZigzagPath, values: tuple) -> tuple:
     j - i = d with n - d, so the scan stops at d = n // 2.  A vertex's value
     numerators (X[0], Y[0]) are its values scaled by D > 0, which keeps the
     brackets' zeros, so the scan multiplies integers only.  On a zero,
-    ``_bracket_rows`` reads the rows off the value parts of the jet polygon
-    to report the first zero in row order.
+    ``_bracket_rows`` reads the rows off those value numerators to report the
+    first zero in row order.
     """
     V = _chart_polygon(path, seed_jets(values), Jet(Fraction(1), (Fraction(0),) * path.width))
     n = len(V) // 2
@@ -137,7 +137,7 @@ def _jet_polygon(path: ZigzagPath, values: tuple) -> tuple:
         for i in range(n)
         for d in range(2, n // 2 + 1)
     ):
-        _bracket_rows([(x.val, y.val) for x, y in (V[-1], *V[:-2])], n)
+        _bracket_rows([(D, X[0], Y[0]) for D, X, Y in (W[-1], *W[:-2])], n)
     return tuple(W)
 
 

@@ -10,16 +10,23 @@ vectors i and j of the associated three-term recurrence.  In that picture
 
 * the diamond rule  left*right - top*bottom = 1  is the Pluecker relation
   ``e(i,j) e(i+1,j+1) - e(i,j+1) e(i+1,j) = 1``,
+* the same relation is a discrete Liouville equation with no truncation
+  error: with ``F = eps*e`` on the grid of step ``eps``, the forward-difference
+  form of ``F F_xy - F_x F_y`` is ``(F00 F11 - F10 F01)/eps**2``, because the
+  cross terms cancel, and that is the diamond above, so it equals 1 exactly,
 * a South-East diagonal is ``e(i0, i0+1+k)`` for fixed ``i0``,
 * the glide symmetry is ``e(i, j) == e(j, i+n)``, whose square is the
   horizontal shift by the period ``n = w + 3``.
 
-Every frieze is the bracket table of one polygon, read by ``_bracket_rows``:
-``propagate_from_quiddity`` takes the vertices from the recurrence's orbit,
-``zigzag_to_frieze`` from the chart, where each path step adds one vertex
-(``_chart_polygon``).  All public constructors work over
-``fractions.Fraction``; ``_chart_polygon``, ``_bracket_rows`` and the zigzag
-mutations are scalar-generic, and the cluster module runs the builder on jet
+Every frieze is the bracket table of one polygon, read by ``_bracket_rows``
+off integer vertices: each vertex (x/D, y/D) is written once as ``(D, x, y)``
+(``_integer_vertices``), so an entry is integer products and one
+``Fraction``.  ``propagate_from_quiddity`` takes the vertices from the
+recurrence's orbit, ``zigzag_to_frieze`` from the chart, where each path step
+adds one vertex (``_chart_polygon``), and the cluster module passes the value
+parts of its integer jet polygon.  All public constructors work over
+``fractions.Fraction``; ``_chart_polygon`` and the zigzag mutations are
+scalar-generic, and the cluster module runs ``_chart_polygon`` on jet
 (dual-number) values to read every entry as a bracket of polygon vertices.
 Rational text is parsed by ``str_to_fraction``, whose exponent bound holds for
 the constructors here and for the command line alike.
@@ -31,10 +38,11 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .exceptions import NotClosed, ZeroEntryEncountered
-from .recurrence import DiscreteHillEquation, det2, solve_recurrence
+from .exceptions import FriezeLabError, NotClosed, ZeroEntryEncountered
+from .recurrence import DiscreteHillEquation, solve_recurrence
 
 SE = "SE"
 SW = "SW"
@@ -47,6 +55,8 @@ def str_to_fraction(s) -> Fraction:
     """Exact rational from an int, a Fraction or text; exponents past MAX_EXPONENT raise ValueError."""
     if isinstance(s, (int, Fraction)):
         return Fraction(s)
+    if isinstance(s, str) and len(s) <= MAX_EXPONENT and s.isascii() and s.removeprefix("-").isdecimal():
+        return Fraction(int(s))  # an integer token, short enough for int()
     m = re.search(r"e[-+]?([\d_]+)\s*\Z", text := str(s), re.IGNORECASE)
     digits = m[1].replace("_", "").lstrip("0") if m else ""
     if len(digits) > 4 or int(digits or 0) > MAX_EXPONENT:  # Fraction would build 10**exponent
@@ -70,24 +80,38 @@ def _is_zero(x) -> bool:
     return getattr(x, "val", x) == 0
 
 
-def _bracket_rows(W: Sequence, n: int) -> tuple[tuple, ...]:
+def _integer_vertices(V: Sequence) -> list[tuple[int, int, int]]:
+    """Rational vertices (x, y) as ``(D, x*D, y*D)``, D > 0 the lcm of the two denominators."""
+    out = []
+    for x, y in V:
+        D = lcm(x.denominator, y.denominator)
+        out.append((D, x.numerator * (D // x.denominator), y.numerator * (D // y.denominator)))
+    return out
+
+
+def _bracket_rows(W: Sequence[tuple[int, int, int]], n: int) -> tuple[tuple[Fraction, ...], ...]:
     """Display rows -1..n-2, entry e(j-1, j-1+d) = [W_j, W_{j+d}] in row d-1.
 
-    Scalar-generic.  ``W_k = V_{k-1}``, k = 0..2n-2, are polygon vertices with
-    unit consecutive brackets.  Raises ZeroEntryEncountered at the first zero
-    of band rows 1..n-3, NotClosed when row n-2 is not a row of ones; the row
-    after a nonzero band is then zero by the Pluecker relation.
+    ``W_k = V_{k-1}``, k = 0..2n-2, are polygon vertices with unit consecutive
+    brackets, each given as integers ``(D, x, y)``: coordinates x/D and y/D
+    over D > 0.  An entry is one ``Fraction(x_u y_v - y_u x_v, D_u D_v)``.
+    Raises ZeroEntryEncountered at the first zero of band rows 1..n-3, scanned
+    from column 1 round to column 0, and NotClosed when row n-2 is not a row
+    of ones; both read the integer numerators, which have the entries' signs.
+    The row after a nonzero band is then zero by the Pluecker relation.
     """
     rows = [(Fraction(0),) * n, (Fraction(1),) * n]
     for d in range(2, n):
-        row = tuple(det2(W[j], W[j + d]) for j in range(n))
-        if d < n - 1:  # a band row, scanned from column 1 round to column 0
-            for j in (*range(1, n), 0):
-                if _is_zero(row[j]):
-                    raise ZeroEntryEncountered(f"zero entry in row {d - 1}, column {j}")
-        rows.append(row)
-    if any(x != 1 for x in rows[n - 1]):
-        raise NotClosed("no second row of ones at depth n-2")
+        nums, dens = [], []
+        for (Du, xu, yu), (Dv, xv, yv) in zip(W, W[d : d + n]):
+            nums.append(xu * yv - yu * xv)
+            dens.append(Du * Dv)
+        if d < n - 1 and 0 in nums:
+            j = next(j for j in (*range(1, n), 0) if nums[j] == 0)
+            raise ZeroEntryEncountered(f"zero entry in row {d - 1}, column {j}")
+        if d == n - 1 and nums != dens:
+            raise NotClosed("no second row of ones at depth n-2")
+        rows.append(tuple(map(Fraction, nums, dens)))
     return tuple(rows)
 
 
@@ -134,24 +158,39 @@ class FriezePattern:
         return self.width + 1 - r, (j + r + 1) % self.period
 
     def check(self) -> dict:
-        """Structural diagnostics; every value must be True for a valid frieze."""
+        """Structural diagnostics; every value must be True for a valid frieze.
+
+        Exact rows equal to the bracket table of the frieze's own quiddity pass
+        all four at once: the table's consecutive brackets are 1, so its
+        diamond rule is the Pluecker relation; its border rows are built in;
+        ``_bracket_rows`` scanned its band for zeros and tested its closing
+        row; and a closed polygon has V_{k+n} = -V_k, which is the glide
+        symmetry.  Other rows, or a quiddity that does not propagate, run the
+        four diagnostics entry by entry.
+        """
         n = self.period
-        diamond_ok = all(
+        try:
+            table = all(isinstance(x, (int, Fraction)) for row in self.rows for x in row) and (
+                self == propagate_from_quiddity(self.quiddity)
+            )
+        except (FriezeLabError, ArithmeticError, LookupError, TypeError, ValueError):
+            table = False  # the diagnostics below report, or raise, as they always have
+        diamond_ok = table or all(
             self.ent(i, i + d) * self.ent(i + 1, i + 1 + d)
             - self.ent(i, i + 1 + d) * self.ent(i + 1, i + d)
             == 1
             for i in range(n)
             for d in range(1, n)
         )
-        border_ok = (
+        border_ok = table or (
             all(x == 0 for x in self.rows[0])
             and all(x == 1 for x in self.rows[1])
             and all(x == 1 for x in self.rows[n - 1])
         )
-        nonzero_ok = all(
+        nonzero_ok = table or all(
             x != 0 for r in range(1, self.width + 1) for x in self.rows[r + 1]
         )
-        glide_ok = all(
+        glide_ok = table or all(
             self.ent(i, i + d) == self.ent(i + d, i + n)
             for i in range(n)
             for d in range(0, n + 1)
@@ -180,7 +219,7 @@ def propagate_from_quiddity(quiddity: Sequence) -> FriezePattern:
     if n < 3:
         raise ValueError("period must be at least 3")
     orbit = solve_recurrence(DiscreteHillEquation(c), (1, 0), (0, 1), 2 * n - 3)
-    return FriezePattern(width=n - 3, rows=_bracket_rows([(c[0], -1), *orbit], n))
+    return FriezePattern(width=n - 3, rows=_bracket_rows(_integer_vertices([(c[0], -1), *orbit]), n))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +400,7 @@ def zigzag_to_frieze(z: ZigzagCoords) -> FriezePattern:
     """The frieze determined by zigzag coordinates: the bracket table of its chart's polygon."""
     V = _chart_polygon(z.path, z.values, Fraction(1))
     n = len(V) // 2
-    frieze = FriezePattern(width=n - 3, rows=_bracket_rows([V[-1], *V[:-2]], n))
+    frieze = FriezePattern(width=n - 3, rows=_bracket_rows(_integer_vertices([V[-1], *V[:-2]]), n))
     if read_zigzag(frieze, z.path).values != z.values:
         raise AssertionError("zigzag reconstruction mismatch")
     return frieze

@@ -2,7 +2,10 @@
 
 Rationals travel as canonical reduced strings "p/q" ("q" omitted when 1), so
 documents are lossless and language-neutral.  Frieze documents are validated
-on ingestion by re-propagating the quiddity and comparing every row.
+on ingestion by re-propagating the quiddity and comparing every row.  Each
+token is parsed by ``frieze.str_to_fraction``, which reads a plain integer
+token with one ``int()`` call; values that are already ``Fraction``s are
+written without being rebuilt.
 """
 
 from __future__ import annotations
@@ -17,14 +20,15 @@ from .frieze import FriezePattern, propagate_from_quiddity, str_to_fraction
 
 
 def fraction_to_str(q: Fraction) -> str:
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def scalar_to_json(x):
     """Fractions as strings, floats as floats."""
     if isinstance(x, (int, Fraction)):
-        return fraction_to_str(Fraction(x))
+        return fraction_to_str(x)
     return float(x)
 
 

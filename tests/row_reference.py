@@ -62,3 +62,22 @@ def quiddity_from_diagonal(values: Sequence, base: int, n: int) -> list:
     # closing entry of the neighbour diagonal is 1, so c_base = e(base+1, base+n-1)
     c[base % n] = d2[n - 2]
     return c
+
+
+def frieze_diagnostics(frieze) -> dict:
+    """The four ``FriezePattern.check()`` diagnostics, each tested entry by entry."""
+    n = frieze.period
+    ent = frieze.ent
+    return {
+        "diamond_rule": all(
+            ent(i, i + d) * ent(i + 1, i + 1 + d) - ent(i, i + 1 + d) * ent(i + 1, i + d) == 1
+            for i in range(n)
+            for d in range(1, n)
+        ),
+        "border_rows": all(x == 0 for x in frieze.rows[0])
+        and all(x == 1 for x in frieze.rows[1])
+        and all(x == 1 for x in frieze.rows[n - 1]),
+        "nonzero_interior": all(x != 0 for r in range(1, frieze.width + 1) for x in frieze.rows[r + 1]),
+        "glide_symmetry": all(ent(i, i + d) == ent(i + d, i + n) for i in range(n) for d in range(0, n + 1)),
+        "period": n,
+    }

@@ -446,9 +446,9 @@ def test_negative_exponent_value(capsys):
     assert run(capsys, "continuum", "liouville", "--s", "-2E-1", "--c", "-1.3e0")[0] == 0
 
 
-def _fresh_main(argv, stdin=None):
+def _fresh_main(argv, stdin=None, modules=("numpy", "tempfile")):
     """Run main(argv) in a fresh interpreter; returns the exit code and which of
-    numpy and tempfile the process had imported when main returned."""
+    ``modules`` the process had imported when main returned."""
     child = (
         "import json, sys\n"
         # site hooks may import tempfile at start-up; forget it, so that only an
@@ -456,11 +456,11 @@ def _fresh_main(argv, stdin=None):
         "sys.modules.pop('tempfile', None)\n"
         "from frieze_lab.cli import main\n"
         "code = main(json.loads(sys.argv[1]))\n"
-        "sys.stderr.write(json.dumps([code, [m for m in ('numpy', 'tempfile') if m in sys.modules]]))\n"
+        "sys.stderr.write(json.dumps([code, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(frieze_lab.__file__).parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-c", child, json.dumps(argv)],
+        [sys.executable, "-c", child, json.dumps(argv), json.dumps(modules)],
         input=stdin, capture_output=True, text=True, env=env, timeout=60,
     )
     return tuple(json.loads(proc.stderr.strip().splitlines()[-1]))
@@ -484,6 +484,23 @@ def test_exact_commands_never_import_numpy():
     # the float side still loads what it needs
     code, loaded = _fresh_main(["continuum", "hill", "--steps", "64"])
     assert code == 0 and "numpy" in loaded
+
+
+def test_only_moduli_imports_cluster():
+    # the cluster form and its jets serve moduli's omega_rank alone
+    from frieze_lab.frieze import propagate_from_quiddity
+    from frieze_lab.serialize import dumps, frieze_to_doc
+
+    doc = dumps(frieze_to_doc(propagate_from_quiddity([1, 3, 1, 2, 2])))
+    modules = ("frieze_lab.cluster", "frieze_lab.jets")
+    for argv, stdin in (
+        (["frieze", "gen", "--quiddity", "1,2,2,1,3"], None),
+        (["frieze", "diag", "--values", "1,2"], None),
+        (["frieze", "check", "-"], doc),
+        (["frieze", "mutate", "--values", "1,2", "--start", "4", "--moves", "SE", "--position", "0"], None),
+    ):
+        assert _fresh_main(argv, stdin, modules) == (0, []), argv
+    assert _fresh_main(["frieze", "moduli", "--quiddity", "1,2,2,1,3"], None, modules) == (0, list(modules))
 
 
 def test_deeply_nested_document_exit_2(capsys, monkeypatch, tmp_path):

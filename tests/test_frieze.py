@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import frieze_lab as fl
 from frieze_lab.frieze import SE, SW
-from row_reference import complete_rows, quiddity_from_diagonal
+from row_reference import complete_rows, frieze_diagnostics, quiddity_from_diagonal
 
 
 def small_fraction(rng, lo=1, hi=6):
@@ -152,6 +152,101 @@ def test_brackets_match_division_completion():
         outcomes[kind] = outcomes.get(kind, 0) + 1
     assert set(outcomes) == {"rows", fl.ZeroEntryEncountered, fl.NotClosed}
     assert min(outcomes.values()) > 1000, outcomes
+
+
+def random_triangulation_quiddity(rng, n):
+    """Triangle counts of a random triangulation of the n-gon: a positive integer quiddity."""
+    q = [0] * n
+    stack = [list(range(n))]
+    while stack:
+        poly = stack.pop()
+        if len(poly) < 3:
+            continue
+        k = rng.randrange(1, len(poly) - 1)
+        for v in (poly[0], poly[k], poly[-1]):
+            q[v] += 1
+        stack += [poly[: k + 1], poly[k:]]
+    return q
+
+
+def _report(frieze, diagnose):
+    """The report, or the type and message of the error."""
+    try:
+        return diagnose(frieze)
+    except Exception as exc:  # every failure must match in type and message
+        return type(exc), str(exc)
+
+
+def test_check_matches_entrywise_diagnostics():
+    # check() answers a bracket table of its own quiddity at once; the report
+    # must be the one the four entrywise diagnostics give
+    rng = random.Random(28)
+    friezes = []
+    for w in range(13):
+        n = w + 3
+        for _ in range(4):
+            friezes.append(fl.propagate_from_quiddity(random_triangulation_quiddity(rng, n)))
+            f, _ = random_diagonal(rng, w)  # rational entries, some negative
+            friezes.append(f)
+            friezes.append(fl.propagate_from_quiddity([str(x) for x in f.quiddity]))
+    for f in friezes:
+        report = f.check()
+        assert report == frieze_diagnostics(f)
+        assert all(report[k] for k in ("diamond_rule", "border_rows", "nonzero_interior", "glide_symmetry"))
+
+    def rebuilt(f, edit):
+        rows = [list(row) for row in f.rows]
+        edit(rows)
+        return fl.FriezePattern(width=f.width, rows=tuple(tuple(row) for row in rows))
+
+    def bump(rows):
+        rows[3][1] += 1
+
+    def swap(rows):
+        rows[2], rows[3] = rows[3], rows[2]
+
+    def zero_quiddity(rows):
+        rows[2][0] = Fr(0)
+
+    def float_band(rows):
+        rows[3][2] = float(rows[3][2])
+
+    def float_quiddity(rows):
+        rows[2][1] = float(rows[2][1])
+
+    cases = []
+    for f in (fl.propagate_from_quiddity((2, 1, 4, 2, 1, 4, 1, 3)), fl.diagonal_to_frieze((Fr(5, 2), Fr(-7, 3), Fr(3, 4)))):
+        for edit in (bump, swap, zero_quiddity, float_band, float_quiddity):
+            cases.append(rebuilt(f, edit))
+    def float_equal(rows):  # equal to the entry 2**60, but products with it round
+        rows[3][rows[3].index(2**60)] = 2.0**60
+
+    cases.append(rebuilt(fl.diagonal_to_frieze((3, 2**60)), float_equal))
+    cases.append(fl.FriezePattern(width=4, rows=fl.propagate_from_quiddity((1, 2, 2, 1, 3)).rows))
+    cases.append(fl.FriezePattern(width=0, rows=((Fr(0),) * 3, (Fr(1),) * 3)))
+    cases.append(fl.FriezePattern(width=0, rows=((0, 0, 0), (1, 1, 1), (1, 1, 1))))
+    outcomes = set()
+    for g in cases:
+        got = _report(g, fl.FriezePattern.check)
+        assert got == _report(g, frieze_diagnostics), g
+        outcomes.add(repr(got))
+    assert len(outcomes) >= 5, outcomes
+
+
+def test_discrete_liouville_identity():
+    # F = eps*e solves F F_xy - F_x F_y = 1 in forward differences, exactly
+    rng = random.Random(37)
+    for w in range(9):
+        n = w + 3
+        for f in (fl.propagate_from_quiddity(random_triangulation_quiddity(rng, n)), random_diagonal(rng, w)[0]):
+            for eps in (Fr(1, 37), Fr(2, 5)):
+                for i in range(n):
+                    for j in range(i + 1, i + n):  # every (i, j) whose four entries lie in the band
+                        F00, F10, F01, F11 = (eps * f.ent(i + a, j + b) for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)))
+                        Fx, Fy = (F10 - F00) / eps, (F01 - F00) / eps
+                        Fxy = (F11 - F10 - F01 + F00) / eps**2
+                        assert F00 * Fxy - Fx * Fy == 1
+                        assert (F00 * F11 - F10 * F01) / eps**2 == 1
 
 
 def test_read_zigzag_diagonal_path():

@@ -23,6 +23,23 @@ def test_exponent_bound():
             serialize.str_to_fraction(text)
 
 
+def test_integer_tokens_parse_as_fraction_does():
+    # plain integer tokens take a shortcut; every token must still give the
+    # value, or the exception type and message, that Fraction(text) gives
+    def outcome(parse, token):
+        try:
+            value = parse(token)
+        except (ValueError, ZeroDivisionError) as exc:
+            return type(exc), str(exc)
+        return type(value), value
+
+    tokens = ["0", "-0", "+5", " 5", "5 ", "007", "1_000", "\u0663", "--5", "-", "", "3/6", "1/0", "1e3", "-7e-2"]
+    tokens += [sign + "7" * k for sign in ("", "-") for k in (4000, 4300, 4301)]
+    for token in tokens:
+        assert outcome(serialize.str_to_fraction, token) == outcome(Fr, token), token[:20]
+    assert outcome(serialize.str_to_fraction, "7" * 4301)[0] is ValueError
+
+
 def test_frieze_doc_roundtrip():
     f = fl.diagonal_to_frieze((Fr(1, 2), Fr(3)))
     doc = serialize.frieze_to_doc(f)
