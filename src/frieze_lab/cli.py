@@ -14,7 +14,9 @@ resolution.
 
 The `frieze` commands are exact and run without numpy: the float modules are
 imported only by the commands that use them, and the cluster module, with its
-jets, only by `frieze moduli`.
+jets, only by `frieze moduli`.  Of the standard library they import argparse,
+fractions and json, but not dataclasses (nor, through it, inspect) and not
+csv, which only the float commands' CSV output loads.
 """
 
 from __future__ import annotations
@@ -79,13 +81,18 @@ def _parse_rationals(text: str) -> list[Fraction]:
 
 
 def _read_doc(path: str) -> dict:
+    """The JSON document at ``path`` (``-`` for stdin); a decimal number stays its text.
+
+    So ``0.10000000000000001`` reaches ``str_to_fraction`` as written and is
+    read exactly, not rounded to the float nearest 1/10.
+    """
     import json
 
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, parse_float=str)
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=str)
     except RecursionError:
         raise ValueError("JSON document is nested too deeply") from None
 

@@ -29,25 +29,27 @@ no division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
 from typing import Sequence
 
+from ._frozen import Frozen
 from .exceptions import GaugeViolation
 from .frieze import SE, DiagonalCoords, ZigzagCoords, ZigzagPath, _bracket_rows, _chart_polygon
 from .jets import Jet, seed_jets
 from .recurrence import det2
 
 
-@dataclass(frozen=True)
-class TangentVector:
+class TangentVector(Frozen):
     """Coordinate components (delta a_1 .. delta a_w) at a base chart."""
 
-    base: DiagonalCoords | ZigzagCoords
-    components: tuple
+    __slots__ = ("base", "components")
+
+    def __init__(self, base: DiagonalCoords | ZigzagCoords, components: tuple):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "components", components)
 
     @property
     def width(self) -> int:

@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
+from ._frozen import Frozen
 from .exceptions import FriezeLabError, NotClosed, ZeroEntryEncountered
 from .recurrence import DiscreteHillEquation, solve_recurrence
 
@@ -52,7 +53,13 @@ MAX_EXPONENT = 4300  # CPython's default limit on the digits of an int string
 
 
 def str_to_fraction(s) -> Fraction:
-    """Exact rational from an int, a Fraction or text; exponents past MAX_EXPONENT raise ValueError."""
+    """Exact rational from an int, a Fraction or text; exponents past MAX_EXPONENT raise ValueError.
+
+    A bool is an int to Python but not a rational here: it raises ValueError,
+    so a JSON ``true`` is not read as 1.
+    """
+    if isinstance(s, bool):
+        raise ValueError(f"{s!r} is a boolean, not a rational")
     if isinstance(s, (int, Fraction)):
         return Fraction(s)
     if isinstance(s, str) and len(s) <= MAX_EXPONENT and s.isascii() and s.removeprefix("-").isdecimal():
@@ -115,12 +122,14 @@ def _bracket_rows(W: Sequence[tuple[int, int, int]], n: int) -> tuple[tuple[Frac
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class FriezePattern:
+class FriezePattern(Frozen):
     """One horizontal period of a closed frieze of width ``w``."""
 
-    width: int
-    rows: tuple[tuple[Fraction, ...], ...]  # display rows -1 .. width+1
+    __slots__ = ("width", "rows")
+
+    def __init__(self, width: int, rows: tuple[tuple[Fraction, ...], ...]):
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "rows", rows)  # display rows -1 .. width+1
 
     @property
     def period(self) -> int:
@@ -165,8 +174,10 @@ class FriezePattern:
         diamond rule is the Pluecker relation; its border rows are built in;
         ``_bracket_rows`` scanned its band for zeros and tested its closing
         row; and a closed polygon has V_{k+n} = -V_k, which is the glide
-        symmetry.  Other rows, or a quiddity that does not propagate, run the
-        four diagnostics entry by entry.
+        symmetry.  The table is the one ``propagate_from_quiddity`` keeps, so
+        a frieze just propagated is not built twice.  Other rows, or a
+        quiddity that does not propagate, run the four diagnostics entry by
+        entry.
         """
         n = self.period
         try:
@@ -215,23 +226,36 @@ def report_is_valid(report: dict) -> bool:
 def propagate_from_quiddity(quiddity: Sequence) -> FriezePattern:
     """Build the closed frieze whose first nontrivial row is ``quiddity``."""
     c = tuple(as_fraction(x) for x in quiddity)
-    n = len(c)
-    if n < 3:
+    if len(c) < 3:
         raise ValueError("period must be at least 3")
+    return FriezePattern(width=len(c) - 3, rows=_quiddity_rows(c))
+
+
+@lru_cache(maxsize=1)
+def _quiddity_rows(c: tuple[Fraction, ...]) -> tuple[tuple[Fraction, ...], ...]:
+    """The bracket table of the recurrence orbit of ``c``.
+
+    The last table is kept, so ``FriezePattern.check()`` on a frieze just
+    propagated, as ``frieze check`` does after reading its document, does not
+    build it again.  A quiddity that raises is not kept.
+    """
+    n = len(c)
     orbit = solve_recurrence(DiscreteHillEquation(c), (1, 0), (0, 1), 2 * n - 3)
-    return FriezePattern(width=n - 3, rows=_bracket_rows(_integer_vertices([(c[0], -1), *orbit]), n))
+    return _bracket_rows(_integer_vertices([(c[0], -1), *orbit]), n)
 
 
 # ---------------------------------------------------------------------------
 # diagonal coordinates
 
 
-@dataclass(frozen=True)
-class DiagonalCoords:
+class DiagonalCoords(Frozen):
     """Values (a_1..a_w) along the SE diagonal with left endpoint ``base``."""
 
-    base: int
-    values: tuple
+    __slots__ = ("base", "values")
+
+    def __init__(self, base: int, values: tuple):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "values", values)
 
     @property
     def width(self) -> int:
@@ -262,8 +286,7 @@ def diagonal_to_frieze(values: Sequence, base: int | None = None) -> FriezePatte
 # zigzag coordinates
 
 
-@dataclass(frozen=True)
-class ZigzagPath:
+class ZigzagPath(Frozen):
     """Monotone-down path visiting one entry in each row 1..w.
 
     ``start`` is the left e-index of the row-1 vertex, i.e. the first vertex
@@ -274,17 +297,17 @@ class ZigzagPath:
     built from a tuple.
     """
 
-    start: int
-    moves: tuple[str, ...]
-    width: int | None = None
+    __slots__ = ("start", "moves", "width")
 
-    def __post_init__(self):
-        object.__setattr__(self, "moves", tuple(self.moves))
-        w = len(self.moves) + 1 if self.width is None else self.width
+    def __init__(self, start: int, moves: tuple[str, ...], width: int | None = None):
+        moves = tuple(moves)
+        w = len(moves) + 1 if width is None else width
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "moves", moves)
         object.__setattr__(self, "width", w)
-        if w > 0 and len(self.moves) != w - 1:
+        if w > 0 and len(moves) != w - 1:
             raise ValueError("a width-w path needs w-1 moves")
-        if any(m not in (SE, SW) for m in self.moves):
+        if any(m not in (SE, SW) for m in moves):
             raise ValueError("moves must be 'SE' or 'SW'")
 
     def vertices(self) -> list[tuple[int, int]]:
@@ -298,10 +321,12 @@ class ZigzagPath:
         return pts
 
 
-@dataclass(frozen=True)
-class ZigzagCoords:
-    path: ZigzagPath
-    values: tuple
+class ZigzagCoords(Frozen):
+    __slots__ = ("path", "values")
+
+    def __init__(self, path: ZigzagPath, values: tuple):
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "values", values)
 
     @property
     def width(self) -> int:

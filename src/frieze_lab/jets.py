@@ -13,8 +13,9 @@ integer numerators over one denominator and takes brackets in integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._frozen import Frozen
 
 
 def _as_value(x):
@@ -23,10 +24,12 @@ def _as_value(x):
     raise TypeError(f"cannot mix jets with {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class Jet:
-    val: Fraction
-    grad: tuple
+class Jet(Frozen):
+    __slots__ = ("val", "grad")
+
+    def __init__(self, val: Fraction, grad: tuple):
+        object.__setattr__(self, "val", val)
+        object.__setattr__(self, "grad", grad)
 
     def _lift(self, other) -> "Jet":
         if isinstance(other, Jet):

@@ -18,10 +18,10 @@ two brackets, where the orientation cancels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
+from ._frozen import Frozen
 from .exceptions import DegeneratePoint
 
 if TYPE_CHECKING:
@@ -35,11 +35,13 @@ def det2(u: Sequence, v: Sequence):
     return u[0] * v[1] - u[1] * v[0]
 
 
-@dataclass(frozen=True)
-class DiscreteHillEquation:
+class DiscreteHillEquation(Frozen):
     """n-periodic potential (c_0..c_{n-1}) of a three-term recurrence."""
 
-    c: tuple
+    __slots__ = ("c",)
+
+    def __init__(self, c: tuple):
+        object.__setattr__(self, "c", c)
 
     @property
     def n(self) -> int:
@@ -109,12 +111,14 @@ def polygon_from_frieze(frieze: FriezePattern) -> tuple[Vec, ...]:
     )
 
 
-@dataclass(frozen=True)
-class ModuliPoint:
+class ModuliPoint(Frozen):
     """n points on the projective line plus the n-3 cross-ratio coordinates."""
 
-    points: tuple[Vec, ...]
-    coordinates: tuple
+    __slots__ = ("points", "coordinates")
+
+    def __init__(self, points: tuple[Vec, ...], coordinates: tuple):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "coordinates", coordinates)
 
 
 def cross_ratio(a: Vec, b: Vec, c: Vec, d: Vec):
@@ -136,8 +140,12 @@ def cross_ratio_coordinates(polygon: Sequence[Vec]) -> ModuliPoint:
     The chart is based at the three vertices (0, 1, n-1), which are pairwise
     non-proportional for any polygon with unit consecutive brackets.  For odd
     n these coordinates identify the space of closed friezes with the moduli
-    space of n points on the projective line; for even n they are still
-    emitted but carry no injectivity claim.
+    space of n points on the projective line.  For even n the map has
+    one-dimensional fibres, the null directions of the cluster form: scaling
+    a_1, a_3, ..., a_w of the frieze's diagonal at base n-1 by one factor
+    leaves every coordinate unchanged, and (a_1, 0, a_3, 0, ..., a_w) is in
+    the kernel of ``cluster.omega_matrix``.  For odd n the same scaling
+    changes the coordinates.
     """
     n = len(polygon)
     if n < 4:

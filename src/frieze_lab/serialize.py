@@ -10,7 +10,6 @@ written without being rebuilt.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from fractions import Fraction
@@ -57,7 +56,7 @@ def frieze_from_doc(doc: dict) -> FriezePattern:
         raise ValueError("document quiddity must be a list and rows a list of lists")
     quiddity = [str_to_fraction(x) for x in doc["quiddity"]]
     frieze = propagate_from_quiddity(quiddity)
-    if frieze.width != doc["width"] or frieze.period != doc["period"]:
+    if isinstance(doc["width"], bool) or frieze.width != doc["width"] or frieze.period != doc["period"]:
         raise ValueError("document width/period inconsistent with quiddity")
     rows = [[str_to_fraction(x) for x in row] for row in rows]
     stored = [list(frieze.rows[r + 1]) for r in range(0, frieze.width + 2)]
@@ -77,6 +76,8 @@ def dumps(doc: dict) -> str:
 
 def csv_string(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     """RFC-4180 CSV (CRLF line endings) with repr-exact floats."""
+    import csv  # only the float commands write CSV
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)

@@ -97,6 +97,49 @@ def test_check_runs_the_checks_once(capsys, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_check_builds_the_table_once(capsys, monkeypatch):
+    # frieze_from_doc propagates the document's quiddity and check() reuses that table
+    from frieze_lab import frieze
+
+    doc = run(capsys, "frieze", "gen", "--quiddity", "1,2,2,1,3")[1]
+    calls = []
+    bracket_rows = frieze._bracket_rows
+    monkeypatch.setattr(frieze, "_bracket_rows", lambda *a: calls.append(a) or bracket_rows(*a))
+    frieze._quiddity_rows.cache_clear()
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, _ = run(capsys, "frieze", "check", "-")
+    assert code == 0 and json.loads(out)["valid"] is True
+    assert len(calls) == 1
+
+
+def test_check_rejects_boolean_entries(capsys, monkeypatch):
+    # JSON true is not the rational 1
+    doc = json.loads(run(capsys, "frieze", "gen", "--quiddity", "1,2,2,1,3")[1])
+    ones = json.loads(json.dumps(doc).replace('"1"', "true"))
+    assert ones["quiddity"] == [True, "2", "2", True, "3"]
+    width = {**json.loads(run(capsys, "frieze", "gen", "--quiddity", "1,1,2,1")[1]), "width": True}
+    for bad in (ones, width):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(bad)))
+        code, out, err = run(capsys, "frieze", "check", "-")
+        assert_json_error(code, out, err)
+    with pytest.raises(ValueError, match="boolean"):
+        frieze_lab.propagate_from_quiddity([True, 2, 2, True, 3])
+
+
+def test_check_reads_decimal_numbers_exactly(capsys, monkeypatch, tmp_path):
+    # 0.10000000000000001 is the float nearest 1/10, but not 1/10
+    text = run(capsys, "frieze", "diag", "--values", "1/10,2")[1]
+    assert '"1/10"' in text
+    near = tmp_path / "near.json"
+    near.write_text(text.replace('"1/10"', "0.10000000000000001"))
+    exact = tmp_path / "exact.json"
+    exact.write_text(text.replace('"1/10"', "0.1"))
+    assert_json_error(*run(capsys, "frieze", "check", str(near)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(near.read_text()))
+    assert_json_error(*run(capsys, "frieze", "check", "-"))
+    assert run(capsys, "frieze", "check", str(exact))[0] == 0
+
+
 def test_moduli(capsys):
     code, out, _ = run(capsys, "frieze", "moduli", "--quiddity", "1,2,2,1,3")
     assert code == 0
@@ -451,9 +494,9 @@ def _fresh_main(argv, stdin=None, modules=("numpy", "tempfile")):
     ``modules`` the process had imported when main returned."""
     child = (
         "import json, sys\n"
-        # site hooks may import tempfile at start-up; forget it, so that only an
-        # import made by the package brings it back
-        "sys.modules.pop('tempfile', None)\n"
+        # site hooks may import tempfile, or any watched module, at start-up;
+        # forget them, so that only an import made by the package brings one back
+        "for m in json.loads(sys.argv[2]): sys.modules.pop(m, None)\n"
         "from frieze_lab.cli import main\n"
         "code = main(json.loads(sys.argv[1]))\n"
         "sys.stderr.write(json.dumps([code, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))\n"
@@ -467,9 +510,11 @@ def _fresh_main(argv, stdin=None, modules=("numpy", "tempfile")):
 
 
 def test_exact_commands_never_import_numpy():
+    # nor dataclasses, which brings inspect, nor csv
     from frieze_lab.frieze import propagate_from_quiddity
     from frieze_lab.serialize import dumps, frieze_to_doc
 
+    modules = ("numpy", "tempfile", "dataclasses", "inspect", "csv")
     doc = dumps(frieze_to_doc(propagate_from_quiddity([1, 3, 1, 2, 2])))
     cases = [  # (argv, stdin, exit code)
         (["frieze", "gen", "--quiddity", "1,2,2,1,3"], None, 0),
@@ -480,10 +525,12 @@ def test_exact_commands_never_import_numpy():
         (["frieze", "gen", "--quiddity", "1,x,2"], None, 2),
     ]
     for argv, stdin, expected in cases:
-        assert _fresh_main(argv, stdin) == (expected, []), argv
+        assert _fresh_main(argv, stdin, modules) == (expected, []), argv
     # the float side still loads what it needs
-    code, loaded = _fresh_main(["continuum", "hill", "--steps", "64"])
+    code, loaded = _fresh_main(["continuum", "hill", "--steps", "64"], None, modules)
     assert code == 0 and "numpy" in loaded
+    code, loaded = _fresh_main(["continuum", "frieze2d", "--grid", "2"], None, modules)
+    assert code == 0 and "csv" in loaded
 
 
 def test_only_moduli_imports_cluster():

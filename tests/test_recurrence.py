@@ -188,6 +188,29 @@ def test_cross_ratio_projective_invariance():
     assert fl.cross_ratio_coordinates(p).coordinates == fl.cross_ratio_coordinates(q).coordinates
 
 
+def test_even_n_fibre_is_the_form_kernel():
+    # scaling a_1, a_3, ..., a_w by one factor moves along the kernel of the
+    # cluster form; for even n it keeps the moduli point, for odd n it does not
+    from frieze_lab.cluster import omega_matrix
+
+    def moduli(values):
+        return fl.cross_ratio_coordinates(fl.polygon_from_frieze(fl.diagonal_to_frieze(values))).coordinates
+
+    rng = random.Random(20)
+    for w in range(1, 8):
+        for _ in range(6):
+            a = [Fr(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(w)]
+            lam = Fr(rng.choice([2, 3, 5]), rng.choice([1, 7]))
+            scaled = [lam * x if i % 2 == 0 else x for i, x in enumerate(a)]
+            if w % 2:  # n = w + 3 even
+                kernel = [x if i % 2 == 0 else 0 for i, x in enumerate(a)]
+                for row in omega_matrix(fl.DiagonalCoords(base=w + 2, values=tuple(a))):
+                    assert sum(m * k for m, k in zip(row, kernel)) == 0
+                assert moduli(scaled) == moduli(a), (a, lam)
+            else:  # n odd
+                assert moduli(scaled) != moduli(a), (a, lam)
+
+
 def test_cross_ratio_degenerate_rejected():
     pts = ((Fr(0), Fr(1)), (Fr(0), Fr(2)), (Fr(1), Fr(1)), (Fr(1), Fr(0)))
     with pytest.raises(fl.DegeneratePoint):
